@@ -60,7 +60,6 @@ from .robustness import (
     sweep,
 )
 from .thermometry import (
-    CorrectionProblem,
     IllConditionedError,
     PhononDistribution,
     ThermometryError,
@@ -107,7 +106,6 @@ __all__ = [
     "finite_difference_gradient",
     "PhononDistribution",
     "thermal_distribution",
-    "CorrectionProblem",
     "IllConditionedError",
     "ThermometryError",
     "ThermometryResult",

@@ -100,12 +100,16 @@ def number_operator(cfg: SystemConfig) -> np.ndarray:
     return np.diag(cfg.fock_indices().astype(float))
 
 
+def _expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i * h * t) of a Hermitian h through its eigendecomposition."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+
+
 @lru_cache(maxsize=None)
 def _displacement(eta: float, cutoff: int, fock_offset: int, sign: int) -> np.ndarray:
     raising, lowering = _ladder(cutoff, fock_offset)
-    generator = eta * (raising + lowering)
-    vals, vecs = np.linalg.eigh(generator)
-    out = (vecs * np.exp(sign * -1j * vals)) @ vecs.conj().T
+    out = _expm_hermitian(eta * (raising + lowering), float(sign))
     out.flags.writeable = False
     return out
 
@@ -168,8 +172,7 @@ def propagate(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
         raise ValueError(
             f"hamiltonian is not Hermitian: max asymmetry {herm_err:.3e}"
         )
-    vals, vecs = np.linalg.eigh(hamiltonian)
-    return (vecs * np.exp(-1j * vals * duration)) @ vecs.conj().T
+    return _expm_hermitian(hamiltonian, duration)
 
 
 def ideal_sideband_propagator(
@@ -186,5 +189,4 @@ def ideal_sideband_propagator(
     gen = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     gen[c:, :c] = 0.5 * theta * np.exp(1j * phi) * raising
     gen[:c, c:] = gen[c:, :c].conj().T
-    vals, vecs = np.linalg.eigh(gen)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return _expm_hermitian(gen, -1.0)

@@ -35,8 +35,8 @@ TWO_PI = 2.0 * math.pi
 WEAK_DRIVE_OMEGA = 0.1
 STRONG_DRIVE_OMEGA = 1.0
 
-# Fields of PulseParams an optimizer layout may expose.
-_TUNABLE_FIELDS = ("delta", "omega", "phi", "t")
+# Detuning box (units of the mode frequency) of the strong-drive layout.
+_DELTA_BOUNDS = (0.25, 2.5)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class PulseParams:
     t: float
 
     def __post_init__(self) -> None:
-        for name in _TUNABLE_FIELDS:
+        for name in ("delta", "omega", "phi", "t"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -156,124 +156,79 @@ def uniform_pulse_train(
 
 @dataclass(frozen=True)
 class ParamLayout:
-    """Mapping between optimizer vectors and pulse-train fields.
+    """Mapping between optimizer vectors and a train of ``count`` pulses.
 
-    ``free`` lists the (pulse index, field name) entries an optimizer may
-    set; ``bounds`` gives one (lower, upper) box per entry.  ``shared`` ties
-    groups of free entries to a single vector slot (e.g. one detuning common
-    to every pulse).  The packed vector has one slot per equivalence class,
-    ordered by each class's first appearance in ``free``.
+    The vector holds the durations t_0..t_{n-1}, each in [0, ``duration_bound``],
+    then the phases phi_1..phi_{n-1} in [0, 2*pi] (the first pulse's phase is
+    the global reference), then, when ``shared_delta`` is set, one detuning in
+    ``_DELTA_BOUNDS`` written into every pulse.  Every other field comes from
+    the template train.
     """
 
-    free: tuple[tuple[int, str], ...]
-    bounds: tuple[tuple[float, float], ...]
-    shared: tuple[tuple[int, ...], ...] = ()
+    count: int
+    duration_bound: float
+    shared_delta: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.free) != len(self.bounds):
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+        if not (np.isfinite(self.duration_bound) and self.duration_bound > 0):
             raise ValueError(
-                f"free has {len(self.free)} entries but bounds has {len(self.bounds)}"
+                f"duration bound must be finite and positive, got {self.duration_bound}"
             )
-        seen: set[tuple[int, str]] = set()
-        for pulse_idx, field in self.free:
-            if field not in _TUNABLE_FIELDS:
-                raise ValueError(f"unknown pulse field {field!r}")
-            if pulse_idx < 0:
-                raise ValueError(f"negative pulse index {pulse_idx}")
-            if (pulse_idx, field) in seen:
-                raise ValueError(f"duplicate free entry {(pulse_idx, field)}")
-            seen.add((pulse_idx, field))
-        for lo, hi in self.bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise ValueError(f"invalid bound ({lo}, {hi})")
-        used: set[int] = set()
-        for group in self.shared:
-            if len(group) < 2:
-                raise ValueError("shared groups need at least two members")
-            for pos in group:
-                if not 0 <= pos < len(self.free):
-                    raise ValueError(f"shared position {pos} outside free list")
-                if pos in used:
-                    raise ValueError(f"free entry {pos} appears in two shared groups")
-                used.add(pos)
-            first = self.bounds[group[0]]
-            for pos in group[1:]:
-                if self.bounds[pos] != first:
-                    raise ValueError("members of a shared group must share bounds")
-
-    def _classes(self) -> list[tuple[int, ...]]:
-        """Equivalence classes of free-entry positions, one per vector slot."""
-        group_of: dict[int, tuple[int, ...]] = {}
-        for group in self.shared:
-            for pos in group:
-                group_of[pos] = group
-        classes: list[tuple[int, ...]] = []
-        emitted: set[int] = set()
-        for pos in range(len(self.free)):
-            if pos in emitted:
-                continue
-            members = group_of.get(pos, (pos,))
-            classes.append(tuple(sorted(members)))
-            emitted.update(members)
-        return classes
 
     @property
     def dim(self) -> int:
         """Length of the packed parameter vector."""
-        return len(self._classes())
+        return 2 * self.count - 1 + int(self.shared_delta)
 
     def slot_names(self) -> list[str]:
         """Human-readable name per vector slot, e.g. 't[2]' or 'delta[*]'."""
-        names = []
-        for members in self._classes():
-            field = self.free[members[0]][1]
-            if len(members) == 1:
-                names.append(f"{field}[{self.free[members[0]][0]}]")
-            else:
-                names.append(f"{field}[*]")
+        names = [f"t[{k}]" for k in range(self.count)]
+        names += [f"phi[{k}]" for k in range(1, self.count)]
+        if self.shared_delta:
+            names.append("delta[*]")
         return names
 
     def slot_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) bound arrays aligned with the packed vector."""
-        classes = self._classes()
-        lower = np.array([self.bounds[m[0]][0] for m in classes])
-        upper = np.array([self.bounds[m[0]][1] for m in classes])
-        return lower, upper
+        lower = [0.0] * (2 * self.count - 1)
+        upper = [self.duration_bound] * self.count + [TWO_PI] * (self.count - 1)
+        if self.shared_delta:
+            lower.append(_DELTA_BOUNDS[0])
+            upper.append(_DELTA_BOUNDS[1])
+        return np.array(lower), np.array(upper)
+
+    def _check_train(self, cp: CompositePulse) -> None:
+        if len(cp) != self.count:
+            raise ValueError(
+                f"layout has {self.count} pulses but the train has {len(cp)}"
+            )
 
     def pack(self, cp: CompositePulse) -> np.ndarray:
         """Extract the free values of ``cp`` into a parameter vector."""
-        values = []
-        for members in self._classes():
-            pulse_idx, field = self.free[members[0]]
-            if pulse_idx >= len(cp):
-                raise ValueError(
-                    f"layout references pulse {pulse_idx} but train has {len(cp)}"
-                )
-            values.append(getattr(cp[pulse_idx], field))
+        self._check_train(cp)
+        values = [p.t for p in cp] + [p.phi for p in cp.pulses[1:]]
+        if self.shared_delta:
+            values.append(cp[0].delta)
         return np.array(values)
 
     def unpack(self, vector: np.ndarray, template: CompositePulse) -> CompositePulse:
         """Write a parameter vector into a copy of ``template``."""
         vector = np.asarray(vector, dtype=float)
-        classes = self._classes()
-        if vector.shape != (len(classes),):
+        if vector.shape != (self.dim,):
             raise ValueError(
-                f"expected vector of length {len(classes)}, got shape {vector.shape}"
+                f"expected vector of length {self.dim}, got shape {vector.shape}"
             )
-        updates: list[dict[str, float]] = [{} for _ in range(len(template))]
-        for slot, members in enumerate(classes):
-            for pos in members:
-                pulse_idx, field = self.free[pos]
-                if pulse_idx >= len(template):
-                    raise ValueError(
-                        f"layout references pulse {pulse_idx} but train has "
-                        f"{len(template)}"
-                    )
-                updates[pulse_idx][field] = float(vector[slot])
+        self._check_train(template)
+        values = vector.tolist()
+        n = self.count
+        phis = [template[0].phi] + values[n : 2 * n - 1]
+        deltas = [values[-1]] * n if self.shared_delta else [p.delta for p in template]
         return CompositePulse(
             tuple(
-                replace(p, **upd) if upd else p
-                for p, upd in zip(template.pulses, updates)
+                PulseParams(delta=delta, omega=p.omega, phi=phi, t=t)
+                for p, delta, phi, t in zip(template.pulses, deltas, phis, values[:n])
             )
         )
 
@@ -284,32 +239,15 @@ class ParamLayout:
         return bool(np.all(vector >= lower) and np.all(vector <= upper))
 
 
-def _duration_bound(eta: float, omega: float) -> float:
-    # Four ideal-sideband half-periods; generous for every pulse seen here.
-    return 4.0 * math.pi / (eta * omega)
-
-
 def weak_drive_layout(count: int, *, eta: float, omega: float) -> ParamLayout:
     """Layout for the weak-drive regime: free durations, free phases after
     the first pulse (the first phase is the global reference), detuning fixed.
+    Durations are bounded by four ideal-sideband half-periods, generous for
+    every pulse seen here.
     """
-    free = [(k, "t") for k in range(count)] + [(k, "phi") for k in range(1, count)]
-    bounds = [(0.0, _duration_bound(eta, omega))] * count + [(0.0, TWO_PI)] * (
-        count - 1
-    )
-    return ParamLayout(free=tuple(free), bounds=tuple(bounds))
+    return ParamLayout(count, 4.0 * math.pi / (eta * omega))
 
 
-def strong_drive_layout(
-    count: int,
-    *,
-    eta: float,
-    omega: float,
-    delta_bounds: tuple[float, float] = (0.25, 2.5),
-) -> ParamLayout:
+def strong_drive_layout(count: int, *, eta: float, omega: float) -> ParamLayout:
     """Weak-drive layout plus one detuning slot shared by all pulses."""
-    base = weak_drive_layout(count, eta=eta, omega=omega)
-    free = base.free + tuple((k, "delta") for k in range(count))
-    bounds = base.bounds + (delta_bounds,) * count
-    shared = (tuple(range(len(base.free), len(free))),)
-    return ParamLayout(free=free, bounds=bounds, shared=shared)
+    return replace(weak_drive_layout(count, eta=eta, omega=omega), shared_delta=True)

@@ -30,7 +30,6 @@ from .pulses import CompositePulse, ParamLayout, composite_unitary
 __all__ = [
     "PhononDistribution",
     "thermal_distribution",
-    "CorrectionProblem",
     "IllConditionedError",
     "ThermometryError",
     "ThermometryResult",
@@ -173,27 +172,18 @@ def simulate_measurements(
     return np.array(rows)
 
 
-@dataclass
-class CorrectionProblem:
-    """Linear system a . R = M; ``corrected`` and the condition number are
-    filled in by :func:`correct_populations`."""
+def correct_populations(
+    coeff: np.ndarray, measured: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Solve a . R = M with a dense solve (never an inverse).
 
-    coeff: np.ndarray
-    measured: np.ndarray
-    corrected: np.ndarray | None = None
-    condition_number: float | None = None
-
-
-def correct_populations(problem: CorrectionProblem) -> CorrectionProblem:
-    """Solve the correction system with a dense solve (never an inverse).
-
-    Returns a completed copy of the problem.  Raises IllConditionedError when
-    the coefficient matrix is singular or its condition number exceeds
+    Returns (corrected, condition number of a).  Raises IllConditionedError
+    when the coefficient matrix is singular or its condition number exceeds
     CONDITION_LIMIT, since the solution would amplify measurement error
     beyond use.
     """
-    coeff = np.asarray(problem.coeff, dtype=float)
-    measured = np.asarray(problem.measured, dtype=float)
+    coeff = np.asarray(coeff, dtype=float)
+    measured = np.asarray(measured, dtype=float)
     if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got {coeff.shape}")
     if measured.shape != (coeff.shape[0],):
@@ -204,13 +194,7 @@ def correct_populations(problem: CorrectionProblem) -> CorrectionProblem:
     condition = float(np.linalg.cond(coeff))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise IllConditionedError(condition)
-    corrected = np.linalg.solve(coeff, measured)
-    return CorrectionProblem(
-        coeff=coeff,
-        measured=measured,
-        corrected=corrected,
-        condition_number=condition,
-    )
+    return np.linalg.solve(coeff, measured), condition
 
 
 @dataclass
@@ -308,22 +292,19 @@ def run_thermometry(
     except Exception as exc:
         raise ThermometryError("measurement", exc) from exc
     try:
-        solved = correct_populations(
-            CorrectionProblem(coeff=coeff, measured=measured)
-        )
+        corrected, condition = correct_populations(coeff, measured)
     except IllConditionedError:
         raise
     except Exception as exc:
         raise ThermometryError("correction", exc) from exc
 
     truth = np.array([dist.populations[n] for n in window])
-    assert solved.corrected is not None and solved.condition_number is not None
     return ThermometryResult(
         window=window,
         truth=truth,
         measured=measured,
-        corrected=solved.corrected,
-        condition_number=solved.condition_number,
+        corrected=corrected,
+        condition_number=condition,
         coeff=coeff,
         pulses=list(pulses),
         design_losses=design_losses,

@@ -22,7 +22,10 @@ from fockpulse import (
     PsoConfig,
     RefineConfig,
     SystemConfig,
+    composite_unitary,
     design_pulse,
+    modulus_loss,
+    robust_loss,
 )
 
 CACHE_DIR = Path(__file__).parent / "_cache"
@@ -90,8 +93,10 @@ def cached_design(
 ) -> tuple[CompositePulse, float]:
     """Run (or reload) a deterministic design; returns (pulse, loss).
 
-    ``target_label`` must name the target uniquely: the key hashes the label,
-    not the target's arrays.
+    The pulse is always the one stored on disk, and its loss is recomputed
+    from it with the current code (``robust_loss`` when an ensemble is given),
+    so a stored number is never trusted.  ``target_label`` must name the
+    target uniquely: the key hashes the label, not the target's arrays.
     """
     omega = template[0].omega
     key = _design_key(
@@ -107,31 +112,31 @@ def cached_design(
         ensemble,
     )
     path = CACHE_DIR / f"{key}.json"
-    if path.exists():
-        doc = json.loads(path.read_text())
-        return CompositePulse.from_dicts(doc["pulses"]), float(doc["loss"])
-
-    result = design_pulse(
-        cfg,
-        template,
-        layout,
-        target,
-        pcfg,
-        rcfg,
-        starts=starts,
-        refine_top=refine_top,
-        ensemble=ensemble,
-    )
-    CACHE_DIR.mkdir(exist_ok=True)
-    path.write_text(
-        json.dumps(
-            {"pulses": result.pulse.to_dicts(), "loss": result.loss},
-            indent=2,
-            sort_keys=True,
+    if not path.exists():
+        result = design_pulse(
+            cfg,
+            template,
+            layout,
+            target,
+            pcfg,
+            rcfg,
+            starts=starts,
+            refine_top=refine_top,
+            ensemble=ensemble,
         )
-        + "\n"
-    )
-    return result.pulse, result.loss
+        CACHE_DIR.mkdir(exist_ok=True)
+        path.write_text(
+            json.dumps(
+                {"pulses": result.pulse.to_dicts(), "loss": result.loss},
+                indent=2,
+                sort_keys=True,
+            )
+            + "\n"
+        )
+    pulse = CompositePulse.from_dicts(json.loads(path.read_text())["pulses"])
+    if ensemble is not None:
+        return pulse, robust_loss(cfg, pulse, target, ensemble)
+    return pulse, modulus_loss(composite_unitary(cfg, pulse), target)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import pytest
 
 from fockpulse import (
     OffsetEnsemble,
+    OptimizationResult,
     PsoConfig,
     RefineConfig,
     SweepSpec,
@@ -20,6 +21,7 @@ from fockpulse import (
     uniform_pulse_train,
     weak_drive_layout,
 )
+from fockpulse import optimizer
 from fockpulse.optimizer import (
     _pso_minimize,
     _pulse_objective,
@@ -244,6 +246,30 @@ def test_design_pulse_validates_stage_counts():
         design_pulse(
             CFG, TEMPLATE, LAYOUT, TARGET, pcfg, RefineConfig(), starts=2, refine_top=3
         )
+
+
+@pytest.mark.parametrize("gap, shorter_wins", [(1e-13, True), (1e-9, False)])
+def test_design_pulse_breaks_loss_ties_by_duration(monkeypatch, gap, shorter_wins):
+    def result(t: float, loss: float) -> OptimizationResult:
+        pulse = uniform_pulse_train(3, delta=1.0, omega=0.1, t=t)
+        return OptimizationResult(
+            pulse=pulse, loss=loss, evaluations=10, history=[(1, loss)]
+        )
+
+    # The swarm's start is shorter; refinement lowers the loss by ``gap`` but
+    # lengthens the pulse.
+    short = result(60.0, 0.25 + gap)
+    long = result(100.0, 0.25)
+    monkeypatch.setattr(optimizer, "pso_search", lambda *args, **kwargs: short)
+    monkeypatch.setattr(optimizer, "refine", lambda *args, **kwargs: long)
+    pcfg = PsoConfig(particles=8, iterations=1)
+    out = design_pulse(
+        CFG, TEMPLATE, LAYOUT, TARGET, pcfg, RefineConfig(), starts=1, refine_top=1
+    )
+    winner = short if shorter_wins else long
+    assert out.pulse is winner.pulse
+    assert out.loss == winner.loss
+    assert out.evaluations == 20
 
 
 def test_design_pulse_beats_single_stage_and_reports_history():

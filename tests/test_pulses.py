@@ -161,17 +161,30 @@ class TestParamLayout:
         with pytest.raises(ValueError, match="pulse"):
             self.layout().pack(uniform_pulse_train(2, delta=1.0, omega=OMEGA))
 
-    def test_rejects_unknown_field(self):
-        with pytest.raises(ValueError, match="field"):
-            ParamLayout(free=((0, "xi"),), bounds=((0.0, 1.0),))
+    def test_unpack_rejects_train_of_other_count(self):
+        layout = self.layout()
+        vec = layout.pack(analytic_swap_parameters(ETA, OMEGA))
+        with pytest.raises(ValueError, match="pulses"):
+            layout.unpack(vec, uniform_pulse_train(4, delta=1.0, omega=OMEGA))
 
-    def test_rejects_mismatched_shared_bounds(self):
-        with pytest.raises(ValueError, match="bounds"):
-            ParamLayout(
-                free=((0, "delta"), (1, "delta")),
-                bounds=((0.0, 1.0), (0.0, 2.0)),
-                shared=((0, 1),),
+    def test_rejects_bad_count_and_duration_bound(self):
+        with pytest.raises(ValueError, match="count"):
+            ParamLayout(0, 10.0)
+        for bound in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="duration bound"):
+                ParamLayout(3, bound)
+
+    def test_slot_order(self):
+        layout = strong_drive_layout(3, eta=ETA, omega=1.0)
+        names = layout.slot_names()
+        assert names == ["t[0]", "t[1]", "t[2]", "phi[1]", "phi[2]", "delta[*]"]
+        cp = CompositePulse(
+            tuple(
+                PulseParams(delta=1.5, omega=1.0, phi=0.5 * k, t=10.0 + k)
+                for k in range(3)
             )
+        )
+        assert layout.pack(cp).tolist() == [10.0, 11.0, 12.0, 0.5, 1.0, 1.5]
 
     def test_contains(self):
         layout = self.layout()

@@ -5,7 +5,6 @@ import pytest
 
 from fockpulse import (
     CompositePulse,
-    CorrectionProblem,
     IllConditionedError,
     PhononDistribution,
     PsoConfig,
@@ -105,11 +104,9 @@ def test_simulate_measurements_zero_drive_measures_nothing():
 
 def test_correct_populations_identity_returns_measured():
     measured = np.array([0.4, 0.3, 0.2, 0.1])
-    solved = correct_populations(
-        CorrectionProblem(coeff=np.eye(4), measured=measured)
-    )
-    assert np.allclose(solved.corrected, measured, atol=1e-15)
-    assert solved.condition_number == pytest.approx(1.0)
+    corrected, condition = correct_populations(np.eye(4), measured)
+    assert np.allclose(corrected, measured, atol=1e-15)
+    assert condition == pytest.approx(1.0)
 
 
 def test_correct_populations_inverts_known_mixing():
@@ -117,35 +114,27 @@ def test_correct_populations_inverts_known_mixing():
     truth = rng.random(5)
     coeff = np.eye(5) + 0.05 * rng.random((5, 5))
     measured = coeff @ truth
-    solved = correct_populations(CorrectionProblem(coeff=coeff, measured=measured))
-    assert np.allclose(solved.corrected, truth, atol=1e-10)
-    assert solved.condition_number is not None and solved.condition_number < 10
+    corrected, condition = correct_populations(coeff, measured)
+    assert np.allclose(corrected, truth, atol=1e-10)
+    assert condition < 10
 
 
 def test_correct_populations_rejects_singular_and_near_singular():
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(IllConditionedError):
-        correct_populations(
-            CorrectionProblem(coeff=singular, measured=np.array([0.5, 0.5]))
-        )
+        correct_populations(singular, np.array([0.5, 0.5]))
 
     nearly = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
     with pytest.raises(IllConditionedError) as info:
-        correct_populations(
-            CorrectionProblem(coeff=nearly, measured=np.array([0.5, 0.5]))
-        )
+        correct_populations(nearly, np.array([0.5, 0.5]))
     assert info.value.condition_number > 1e8
 
 
 def test_correct_populations_shape_errors():
     with pytest.raises(ValueError, match="square"):
-        correct_populations(
-            CorrectionProblem(coeff=np.ones((2, 3)), measured=np.ones(2))
-        )
+        correct_populations(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError, match="does not match"):
-        correct_populations(
-            CorrectionProblem(coeff=np.eye(3), measured=np.ones(2))
-        )
+        correct_populations(np.eye(3), np.ones(2))
 
 
 def _probe_pulses(count: int) -> list[CompositePulse]:
