@@ -127,12 +127,12 @@ class RunConfig:
         regime = doc.get("regime", "weak")
         if regime not in ("weak", "strong"):
             raise ValueError(f"regime must be 'weak' or 'strong', got {regime!r}")
-        system = SystemConfig(**doc.get("system", {}))
+        system = _config_block(SystemConfig, doc, "system")
         pulse_count = int(doc.get("pulse_count", 3))
         target = str(doc.get("target", "swap(0)"))
         parse_target(target, system.cutoff)  # fail fast on bad presets
-        pso = PsoConfig(**doc.get("pso", {}))
-        refine = RefineConfig(**doc.get("refine", {}))
+        pso = _config_block(PsoConfig, doc, "pso")
+        refine = _config_block(RefineConfig, doc, "refine")
         starts = int(doc.get("starts", 4))
         refine_top = int(doc.get("refine_top", 2))
         loss_threshold = float(doc.get("loss_threshold", 0.5))
@@ -165,6 +165,14 @@ class RunConfig:
         return cls.from_document(doc)
 
 
+def _config_block(cls: type, doc: dict[str, Any], name: str) -> Any:
+    """Build ``cls`` from the config's ``name`` block; a bad key is bad input."""
+    try:
+        return cls(**doc.get(name, {}))
+    except TypeError as exc:
+        raise ValueError(f"bad {name!r} block in config: {exc}") from exc
+
+
 def parse_distribution(spec: dict[str, Any], cutoff: int) -> PhononDistribution:
     """Distribution from a config block: thermal or explicit populations."""
     if "thermal_nbar" in spec:
@@ -185,24 +193,32 @@ def parse_distribution(spec: dict[str, Any], cutoff: int) -> PhononDistribution:
     )
 
 
-def _machine(value: float) -> str:
-    return format(float(value), ".17g")
+def _emit(
+    args: argparse.Namespace,
+    stem: str,
+    document: dict[str, Any],
+    header: Sequence[str],
+    rows: Sequence[Sequence[Any]],
+) -> None:
+    """Write ``<stem>.csv`` (unless ``--format json``) and ``<stem>.json``.
 
-
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_machine(v) if isinstance(v, float) else v for v in row]
+    CSV floats keep full precision; the JSON document is stamped with the
+    config version.
+    """
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.format == "csv":
+        path = out_dir / f"{stem}.csv"
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(
+                [format(float(v), ".17g") if isinstance(v, float) else v for v in row]
+                for row in rows
             )
-    log.info("wrote %s", path)
-
-
-def write_json(path: Path, document: dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+        log.info("wrote %s", path)
+    path = out_dir / f"{stem}.json"
+    document = {"version": _CONFIG_VERSION, **document}
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     log.info("wrote %s", path)
 
@@ -222,22 +238,20 @@ def format_pulse_table(cp: CompositePulse) -> str:
     return "\n".join(lines)
 
 
-def _progress_logger(every: int = 100):
-    def callback(stage: str, iteration: int, best: float) -> None:
-        if stage == "pso" and iteration % every == 0:
-            log.info("pso iteration %d: best loss %.6f", iteration, best)
-        elif stage == "refine":
-            log.info("refine done after %d evaluations: loss %.6f", iteration, best)
-
-    return callback
-
-
-def _load_pulse_arg(args: argparse.Namespace, out_dir: Path) -> PulseLibraryEntry:
+def _load_pulse_arg(
+    args: argparse.Namespace,
+) -> tuple[PulseLibraryEntry, SystemConfig]:
+    """The entry named by --pulse-file or --pulse-id, and its system at --cutoff."""
     if args.pulse_file:
-        return load_entry(Path(args.pulse_file))
-    if args.pulse_id:
-        return load_entry(find_entry(out_dir / "library", args.pulse_id))
-    raise ValueError("provide --pulse-id or --pulse-file")
+        entry = load_entry(Path(args.pulse_file))
+    elif args.pulse_id:
+        entry = load_entry(find_entry(Path(args.out) / "library", args.pulse_id))
+    else:
+        raise ValueError("provide --pulse-id or --pulse-file")
+    system = entry.system
+    if args.cutoff is not None:
+        system = dataclasses.replace(system, cutoff=args.cutoff)
+    return entry, system
 
 
 def cmd_design(args: argparse.Namespace) -> int:
@@ -264,7 +278,6 @@ def cmd_design(args: argparse.Namespace) -> int:
         rc.refine,
         starts=rc.starts,
         refine_top=rc.refine_top,
-        callback=_progress_logger(),
     )
     if result.loss > rc.loss_threshold:
         raise DesignFailure(result.loss, rc.loss_threshold)
@@ -283,21 +296,14 @@ def cmd_design(args: argparse.Namespace) -> int:
             "refine_top": rc.refine_top,
         },
     )
-    out_dir = Path(args.out)
-    save_entry(entry, out_dir / "library")
+    save_entry(entry, Path(args.out) / "library")
 
     unitary = composite_unitary(rc.system, entry.pulse)
     modulus = np.abs(unitary)
-    if args.format == "csv":
-        write_csv(
-            out_dir / f"design-{entry.id}.csv",
-            ["pulse", "delta", "omega", "phi", "t"],
-            [[k, p.delta, p.omega, p.phi, p.t] for k, p in enumerate(entry.pulse)],
-        )
-    write_json(
-        out_dir / f"design-{entry.id}.json",
+    _emit(
+        args,
+        f"design-{entry.id}",
         {
-            "version": _CONFIG_VERSION,
             "id": entry.id,
             "system": dataclasses.asdict(rc.system),
             "target": rc.target,
@@ -307,6 +313,8 @@ def cmd_design(args: argparse.Namespace) -> int:
             "modulus": modulus.tolist(),
             "excitation_profile": excitation_profile(unitary).tolist(),
         },
+        ["pulse", "delta", "omega", "phi", "t"],
+        [[k, p.delta, p.omega, p.phi, p.t] for k, p in enumerate(entry.pulse)],
     )
     print(f"pulse id: {entry.id}")
     print(f"loss: {result.loss:.6f}")
@@ -317,29 +325,18 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    entry = _load_pulse_arg(args, out_dir)
-    system = entry.system
-    if args.cutoff is not None:
-        system = dataclasses.replace(system, cutoff=args.cutoff)
+    entry, system = _load_pulse_arg(args)
     unitary = composite_unitary(system, entry.pulse)
     modulus = np.abs(unitary)
     profile = excitation_profile(unitary)
 
-    stem = f"evaluate-{entry.id}-c{system.cutoff}"
     labels = [f"g{n}" for n in system.fock_indices()] + [
         f"e{n}" for n in system.fock_indices()
     ]
-    if args.format == "csv":
-        write_csv(
-            out_dir / f"{stem}.csv",
-            ["row"] + labels,
-            [[labels[i]] + [float(v) for v in modulus[i]] for i in range(len(labels))],
-        )
-    write_json(
-        out_dir / f"{stem}.json",
+    _emit(
+        args,
+        f"evaluate-{entry.id}-c{system.cutoff}",
         {
-            "version": _CONFIG_VERSION,
             "id": entry.id,
             "system": dataclasses.asdict(system),
             "target": entry.target,
@@ -347,6 +344,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "modulus": modulus.tolist(),
             "excitation_profile": profile.tolist(),
         },
+        ["row"] + labels,
+        [[labels[i]] + [float(v) for v in modulus[i]] for i in range(len(labels))],
     )
     print(f"pulse id: {entry.id} (target {entry.target}, cutoff {system.cutoff})")
     print("propagator modulus:")
@@ -371,11 +370,10 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
     )
     dist = parse_distribution(block.get("distribution", {}), truth_cutoff)
 
-    out_dir = Path(args.out)
     pulses = None
     if block.get("pulse_ids"):
         entries = [
-            load_entry(find_entry(out_dir / "library", key))
+            load_entry(find_entry(Path(args.out) / "library", key))
             for key in block["pulse_ids"]
         ]
         pulses = [e.pulse for e in entries]
@@ -393,19 +391,12 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
         pulses=pulses,
         starts=rc.starts,
         refine_top=rc.refine_top,
-        callback=_progress_logger(),
     )
 
-    if args.format == "csv":
-        write_csv(
-            out_dir / "thermometry.csv",
-            ["fock", "true", "measured", "corrected"],
-            [[n, p, m, r] for n, p, m, r in result.rows()],
-        )
-    write_json(
-        out_dir / "thermometry.json",
+    _emit(
+        args,
+        "thermometry",
         {
-            "version": _CONFIG_VERSION,
             "system": dataclasses.asdict(rc.system),
             "truth_cutoff": truth_cutoff,
             "window": result.window,
@@ -417,6 +408,8 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
             "design_losses": result.design_losses,
             "pulses": [cp.to_dicts() for cp in result.pulses],
         },
+        ["fock", "true", "measured", "corrected"],
+        result.rows(),
     )
     print("fock      true  measured corrected")
     for n, p, m, r in result.rows():
@@ -427,29 +420,8 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _widest_window(
-    offsets: np.ndarray, probabilities: np.ndarray, floor: float
-) -> tuple[float, float] | None:
-    """Longest contiguous run of sampled offsets with probability >= floor."""
-    best: tuple[float, float] | None = None
-    run_start: int | None = None
-    for i, p in enumerate(list(probabilities) + [-1.0]):  # sentinel flushes the last run
-        if p >= floor and run_start is None:
-            run_start = i
-        elif p < floor and run_start is not None:
-            lo, hi = float(offsets[run_start]), float(offsets[i - 1])
-            if best is None or hi - lo > best[1] - best[0]:
-                best = (lo, hi)
-            run_start = None
-    return best
-
-
 def cmd_robustness(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    entry = _load_pulse_arg(args, out_dir)
-    system = entry.system
-    if args.cutoff is not None:
-        system = dataclasses.replace(system, cutoff=args.cutoff)
+    entry, system = _load_pulse_arg(args)
     if args.range is not None:
         lower, upper = args.range
     else:
@@ -466,17 +438,10 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     probe = TransitionProbe(fock=args.fock, mode=args.probe)
     result = sweep(system, entry.pulse, spec, probe)
 
-    stem = f"robustness-{entry.id}-{args.axis}"
-    if args.format == "csv":
-        write_csv(
-            out_dir / f"{stem}.csv",
-            ["offset", "probability"],
-            [[float(o), float(p)] for o, p in result.points()],
-        )
-    write_json(
-        out_dir / f"{stem}.json",
+    _emit(
+        args,
+        f"robustness-{entry.id}-{args.axis}",
         {
-            "version": _CONFIG_VERSION,
             "id": entry.id,
             "axis": args.axis,
             "which": spec.which,
@@ -486,6 +451,8 @@ def cmd_robustness(args: argparse.Namespace) -> int:
             "clamped_offsets": result.clamped_offsets,
             "microseconds_per_unit": MICROSECONDS_PER_UNIT,
         },
+        ["offset", "probability"],
+        result.points(),
     )
     print(f"pulse id: {entry.id}  axis: {args.axis}  probe: {probe.mode}({probe.fock})")
     print(f"offsets [{lower:.4g}, {upper:.4g}] in {args.points} points")
@@ -497,7 +464,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     nearest_zero = int(np.argmin(np.abs(result.offsets)))
     print(f"probability at zero offset: {result.probabilities[nearest_zero]:.4f}")
     print(f"minimum over the sweep: {result.probabilities.min():.4f}")
-    window = _widest_window(result.offsets, result.probabilities, 0.99)
+    window = result.widest_window(0.99)
     if window is None:
         print("no sampled offset keeps the probability >= 0.99")
     else:

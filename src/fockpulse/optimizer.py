@@ -12,12 +12,16 @@ The objective is the modulus loss of the nominal pulse, or, when an
 ``OffsetEnsemble`` is passed, the ``robust_loss`` over the pulses its offset
 grids perturb the candidate into.  The swarm treats a non-finite loss as
 +inf, so such a candidate never becomes its incumbent.
+
+Progress goes to the ``fockpulse.optimizer`` logger at INFO level: the swarm's
+best loss every ``_LOG_EVERY`` iterations, and each refinement's result.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -31,15 +35,16 @@ __all__ = [
     "PsoConfig",
     "RefineConfig",
     "OptimizationResult",
-    "ProgressCallback",
     "finite_difference_gradient",
     "pso_search",
     "refine",
     "design_pulse",
 ]
 
-# callback(stage, iteration, best_loss)
-ProgressCallback = Callable[[str, int, float], None]
+log = logging.getLogger(__name__)
+
+# The swarm logs its best loss once per this many iterations.
+_LOG_EVERY = 100
 
 # Losses closer than this are treated as ties and broken by total duration.
 _TIE_TOL = 1e-12
@@ -89,8 +94,9 @@ class RefineConfig:
 class OptimizationResult:
     """Best pulse found, its loss, and the best-so-far trace.
 
-    ``history`` holds (iteration, loss) pairs recorded whenever the incumbent
-    improved, so the loss column is nonincreasing.  ``evaluations`` counts
+    ``history`` holds (objective evaluations so far, best loss) pairs, one
+    whenever the incumbent strictly improved, so the evaluation column
+    increases and the loss column decreases.  ``evaluations`` counts
     objective calls, including those spent on finite-difference gradients.
     """
 
@@ -187,10 +193,8 @@ def _pso_minimize(
     lower: np.ndarray,
     upper: np.ndarray,
     pcfg: PsoConfig,
-    *,
-    callback: ProgressCallback | None = None,
-) -> tuple[np.ndarray, float, list[tuple[int, float]], int]:
-    """Global-best particle swarm over a box.  Returns (x, f, history, evals).
+) -> tuple[np.ndarray, float]:
+    """Global-best particle swarm over a box.  Returns (x, f).
 
     Non-finite losses count as +inf, so they never lead the swarm.
     """
@@ -206,8 +210,6 @@ def _pso_minimize(
     g = int(np.argmin(best_losses))
     g_pos = best_pos[g].copy()
     g_loss = float(best_losses[g])
-    history = [(0, g_loss)]
-    evaluations = pcfg.particles
 
     for it in range(1, pcfg.iterations + 1):
         r_cog = rng.random((pcfg.particles, n_dim))
@@ -219,7 +221,6 @@ def _pso_minimize(
         )
         pos = np.clip(pos + vel, lower, upper)
         losses = _finite_or_inf([func(p) for p in pos])
-        evaluations += pcfg.particles
         improved = losses < best_losses
         best_pos[improved] = pos[improved]
         best_losses[improved] = losses[improved]
@@ -227,10 +228,9 @@ def _pso_minimize(
         if best_losses[g] < g_loss:
             g_loss = float(best_losses[g])
             g_pos = best_pos[g].copy()
-            history.append((it, g_loss))
-        if callback is not None:
-            callback("pso", it, g_loss)
-    return g_pos, g_loss, history, evaluations
+        if it % _LOG_EVERY == 0:
+            log.info("pso iteration %d: best loss %.6f", it, g_loss)
+    return g_pos, g_loss
 
 
 def _pulse_objective(
@@ -257,21 +257,18 @@ def pso_search(
     pcfg: PsoConfig,
     *,
     ensemble: OffsetEnsemble | None = None,
-    callback: ProgressCallback | None = None,
 ) -> OptimizationResult:
     """Swarm search over the layout's box.  Deterministic for a given seed."""
     lower, upper = layout.slot_bounds()
     tracked = _TrackedObjective(
         _pulse_objective(cfg, template, layout, target, ensemble), lower, upper
     )
-    x, loss, history, _ = _pso_minimize(
-        tracked, lower, upper, pcfg, callback=callback
-    )
+    x, loss = _pso_minimize(tracked, lower, upper, pcfg)
     return OptimizationResult(
         pulse=layout.unpack(x, template),
         loss=loss,
         evaluations=tracked.evaluations,
-        history=history,
+        history=tracked.history,
     )
 
 
@@ -283,7 +280,6 @@ def refine(
     rcfg: RefineConfig,
     *,
     ensemble: OffsetEnsemble | None = None,
-    callback: ProgressCallback | None = None,
 ) -> OptimizationResult:
     """Bounded quasi-Newton descent from ``start``.
 
@@ -317,8 +313,11 @@ def refine(
         },
     )
     assert tracked.best_x is not None
-    if callback is not None:
-        callback("refine", tracked.evaluations, tracked.best_f)
+    log.info(
+        "refine done after %d evaluations: loss %.6f",
+        tracked.evaluations,
+        tracked.best_f,
+    )
     return OptimizationResult(
         pulse=layout.unpack(tracked.best_x, start),
         loss=tracked.best_f,
@@ -338,14 +337,15 @@ def design_pulse(
     starts: int = 4,
     refine_top: int = 2,
     ensemble: OffsetEnsemble | None = None,
-    callback: ProgressCallback | None = None,
 ) -> OptimizationResult:
     """Full pipeline: several independent swarm starts, refine the best few.
 
     Swarm start k runs with seed ``pcfg.seed + k``.  Every swarm and refined
     result is a candidate; those within 1e-12 of the lowest loss tie, and the
     tie goes to the shortest total duration.  The returned history is the
-    global best-so-far trace across all stages.
+    global best-so-far trace across all stages, its x-axis the evaluations
+    spent so far: each stage's trace is shifted by the evaluations of the
+    stages before it.
     Every stage minimizes the same objective: ``robust_loss`` over
     ``ensemble`` when one is given, the nominal modulus loss otherwise.
     """
@@ -358,17 +358,13 @@ def design_pulse(
 
     stage_results: list[OptimizationResult] = []
     history: list[tuple[int, float]] = []
-    offset = 0
-    best_so_far = np.inf
     evaluations = 0
 
     def absorb(result: OptimizationResult) -> None:
-        nonlocal offset, best_so_far, evaluations
-        for it, loss in result.history:
-            if loss < best_so_far:
-                best_so_far = loss
-                history.append((offset + it, loss))
-        offset += result.history[-1][0] if result.history else 0
+        nonlocal evaluations
+        for n, loss in result.history:
+            if not history or loss < history[-1][1]:
+                history.append((evaluations + n, loss))
         evaluations += result.evaluations
 
     for k in range(starts):
@@ -379,7 +375,6 @@ def design_pulse(
             target,
             replace(pcfg, seed=pcfg.seed + k),
             ensemble=ensemble,
-            callback=callback,
         )
         absorb(run)
         stage_results.append(run)
@@ -387,9 +382,7 @@ def design_pulse(
     stage_results.sort(key=lambda r: r.loss)
     candidates = list(stage_results)
     for run in stage_results[:refine_top]:
-        polished = refine(
-            cfg, run.pulse, layout, target, rcfg, ensemble=ensemble, callback=callback
-        )
+        polished = refine(cfg, run.pulse, layout, target, rcfg, ensemble=ensemble)
         absorb(polished)
         candidates.append(polished)
 

@@ -146,6 +146,21 @@ class SweepResult:
     def points(self) -> list[tuple[float, float]]:
         return [(float(o), float(p)) for o, p in zip(self.offsets, self.probabilities)]
 
+    def widest_window(self, floor: float) -> tuple[float, float] | None:
+        """Longest contiguous run of sampled offsets with probability >= floor."""
+        best: tuple[float, float] | None = None
+        run_start: int | None = None
+        # the sentinel flushes a run that reaches the last sample
+        for i, p in enumerate(list(self.probabilities) + [-1.0]):
+            if p >= floor and run_start is None:
+                run_start = i
+            elif p < floor and run_start is not None:
+                lo, hi = float(self.offsets[run_start]), float(self.offsets[i - 1])
+                if best is None or hi - lo > best[1] - best[0]:
+                    best = (lo, hi)
+                run_start = None
+        return best
+
 
 def perturb(
     cp: CompositePulse,

@@ -12,19 +12,13 @@ space, which is exactly the mismatch the correction is meant to absorb.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fockspace import SystemConfig
-from .objective import TargetSpec, excitation_profile, shelving_target
-from .optimizer import (
-    OptimizationResult,
-    ProgressCallback,
-    PsoConfig,
-    RefineConfig,
-    design_pulse,
-)
+from .objective import excitation_profile, shelving_target
+from .optimizer import OptimizationResult, PsoConfig, RefineConfig, design_pulse
 from .pulses import CompositePulse, ParamLayout, composite_unitary
 
 __all__ = [
@@ -237,10 +231,8 @@ def run_thermometry(
     pulses: Sequence[CompositePulse] | None = None,
     starts: int = 4,
     refine_top: int = 2,
-    target_factory: Callable[[int, int], TargetSpec] = shelving_target,
-    callback: ProgressCallback | None = None,
 ) -> ThermometryResult:
-    """Design (or reuse) one pulse per window state, measure, and correct.
+    """Design (or reuse) one shelving pulse per window state, measure, correct.
 
     ``cfg_truth`` must anchor at Fock 0 and cover the design window; it plays
     the role of reality, so the distribution lives on it.  Passing ``pulses``
@@ -258,7 +250,7 @@ def run_thermometry(
         designed: list[CompositePulse] = []
         for n in window:
             try:
-                target = target_factory(cfg_design.cutoff, n - cfg_design.fock_offset)
+                target = shelving_target(cfg_design.cutoff, n - cfg_design.fock_offset)
                 result: OptimizationResult = design_pulse(
                     cfg_design,
                     template,
@@ -268,7 +260,6 @@ def run_thermometry(
                     rcfg,
                     starts=starts,
                     refine_top=refine_top,
-                    callback=callback,
                 )
             except Exception as exc:
                 raise ThermometryError(f"design[{n}]", exc) from exc

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -285,14 +286,25 @@ def test_robustness_command_writes_sweep(tmp_path, capsys):
     assert "0.99" in out_text  # the >= 0.99 window (or its absence) is reported
 
 
-def test_widest_window_helper():
-    from fockpulse.cli import _widest_window
+@pytest.mark.parametrize(
+    "block, misspelled", [("system", {"cutof": 3}), ("pso", {"particle": 8})]
+)
+def test_misspelled_config_key_exits_two(tmp_path, caplog, block, misspelled):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, **{block: misspelled})
+    with pytest.raises(ValueError, match=f"'{block}' block"):
+        RunConfig.load(cfg_path)
+    code = main(["--quiet", "design", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"'{block}' block" in caplog.text
 
-    offsets = np.linspace(-2, 2, 9)
-    probabilities = np.array([0.5, 0.995, 0.5, 0.992, 0.999, 0.991, 0.5, 0.995, 0.995])
-    window = _widest_window(offsets, probabilities, 0.99)
-    assert window == (-0.5, 0.5)
-    assert _widest_window(offsets, np.zeros(9), 0.99) is None
-    # a run reaching the final sample is still counted
-    tail = np.array([0.0] * 7 + [1.0, 1.0])
-    assert _widest_window(offsets, tail, 0.99) == (1.5, 2.0)
+
+def test_design_logs_progress_through_logging(tmp_path, caplog, capsys):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path)
+    with caplog.at_level(logging.INFO, logger="fockpulse"):
+        code = main(["design", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+    assert code == 0
+    refined = [r for r in caplog.records if "refine done after" in r.getMessage()]
+    assert [r.name for r in refined] == ["fockpulse.optimizer"]
+    assert "refine done after" not in capsys.readouterr().out

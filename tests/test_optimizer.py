@@ -63,11 +63,12 @@ def test_pso_engine_solves_shifted_quadratic():
         return float(np.sum((x - center) ** 2))
 
     pcfg = PsoConfig(particles=32, iterations=200, seed=7)
-    x, loss, history, evaluations = _pso_minimize(func, lower, upper, pcfg)
+    tracked = _TrackedObjective(func, lower, upper)
+    x, loss = _pso_minimize(tracked, lower, upper, pcfg)
     assert np.allclose(x, center, atol=1e-3)
     assert loss < 1e-5
-    assert evaluations == 32 * (200 + 1)
-    traced = [value for _, value in history]
+    assert tracked.evaluations == 32 * (200 + 1)
+    traced = [value for _, value in tracked.history]
     assert traced == sorted(traced, reverse=True)
 
 
@@ -79,7 +80,7 @@ def test_pso_engine_respects_box():
         assert lower[0] <= x[0] <= upper[0]
         return float((x[0] + 5.0) ** 2)  # minimum far outside the box
 
-    _, loss, _, _ = _pso_minimize(func, lower, upper, PsoConfig(particles=8, iterations=50, seed=0))
+    _, loss = _pso_minimize(func, lower, upper, PsoConfig(particles=8, iterations=50, seed=0))
     # best feasible point is the lower edge
     assert loss == pytest.approx(36.0, abs=1e-6)
 
@@ -94,12 +95,13 @@ def test_pso_engine_never_keeps_a_nonfinite_incumbent():
         return float("nan") if x[0] < 0 else float(np.sum((x - center) ** 2))
 
     pcfg = PsoConfig(particles=32, iterations=200, seed=7)
-    x, loss, history, _ = _pso_minimize(func, lower, upper, pcfg)
+    tracked = _TrackedObjective(func, lower, upper)
+    x, loss = _pso_minimize(tracked, lower, upper, pcfg)
     assert np.isfinite(loss)
     assert np.allclose(x, center, atol=1e-3)
-    assert all(np.isfinite(value) for _, value in history)
+    assert all(np.isfinite(value) for _, value in tracked.history)
 
-    _, loss, _, _ = _pso_minimize(
+    _, loss = _pso_minimize(
         lambda x: float("nan"), lower, upper, PsoConfig(particles=8, iterations=3)
     )
     assert loss == np.inf
@@ -286,3 +288,17 @@ def test_design_pulse_beats_single_stage_and_reports_history():
     assert traced[-1] == pytest.approx(full.loss, abs=1e-12)
     packed = LAYOUT.pack(full.pulse)
     assert LAYOUT.contains(packed)
+
+
+def test_design_history_is_indexed_by_objective_evaluations():
+    pcfg = PsoConfig(particles=16, iterations=40, seed=11)
+    rcfg = RefineConfig(max_iters=60)
+    full = design_pulse(
+        CFG, TEMPLATE, LAYOUT, TARGET, pcfg, rcfg, starts=2, refine_top=2
+    )
+    xs = [x for x, _ in full.history]
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+    assert 1 <= xs[0] and xs[-1] <= full.evaluations
+    assert full.history[-1][1] == full.loss
+    # the refined candidate wins, so the trace ends past both swarm starts
+    assert xs[-1] > 2 * pcfg.particles * (pcfg.iterations + 1)

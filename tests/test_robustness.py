@@ -16,6 +16,7 @@ from fockpulse import (
     sweep,
     uniform_pulse_train,
 )
+from fockpulse.robustness import SweepResult
 
 CFG = SystemConfig(cutoff=4)
 TRAIN = CompositePulse(
@@ -152,3 +153,14 @@ def test_phase_sweep_ignores_global_phase_train():
     probe = TransitionProbe(fock=0, mode="transfer")
     result = sweep(CFG, single, spec, probe)
     assert np.allclose(result.probabilities, result.probabilities[0], atol=1e-14)
+
+
+def test_widest_window_helper():
+    offsets = np.linspace(-2, 2, 9)
+    probabilities = np.array([0.5, 0.995, 0.5, 0.992, 0.999, 0.991, 0.5, 0.995, 0.995])
+    window = SweepResult(offsets, probabilities, []).widest_window(0.99)
+    assert window == (-0.5, 0.5)
+    assert SweepResult(offsets, np.zeros(9), []).widest_window(0.99) is None
+    # a run reaching the final sample is still counted
+    tail = np.array([0.0] * 7 + [1.0, 1.0])
+    assert SweepResult(offsets, tail, []).widest_window(0.99) == (1.5, 2.0)
