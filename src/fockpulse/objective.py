@@ -92,18 +92,22 @@ def shelving_target(cutoff: int, fock: int) -> TargetSpec:
     return TargetSpec(modulus=modulus, mask=mask)
 
 
-def modulus_loss(u: np.ndarray, target: TargetSpec) -> float:
+def modulus_loss(u: np.ndarray, target: TargetSpec) -> float | np.ndarray:
     """Frobenius distance between |u| and the target over masked entries.
 
     Zero exactly when every compared magnitude matches; insensitive to all
-    phases by construction.
+    phases by construction.  ``u`` is one (dim, dim) propagator, giving a
+    float, or a (B, dim, dim) stack, giving B losses; both shapes share one
+    reduction, so a stacked row's loss equals its loss alone bit for bit.
     """
-    if u.shape != target.modulus.shape:
+    if u.shape[-2:] != target.modulus.shape or u.ndim not in (2, 3):
         raise ValueError(
             f"propagator shape {u.shape} does not match target {target.modulus.shape}"
         )
     diff = (np.abs(u) - target.modulus) * target.mask
-    return float(np.linalg.norm(diff))
+    flat = diff.reshape(diff.shape[:-2] + (-1,))
+    loss = np.sqrt(np.add.reduce(flat * flat, axis=-1))
+    return float(loss) if u.ndim == 2 else loss
 
 
 def excitation_profile(u: np.ndarray) -> np.ndarray:

@@ -2,11 +2,20 @@
 
 The landscape of the modulus loss is multimodal in the pulse durations and
 phases, so a particle swarm scans the box first and a bounded quasi-Newton
-descent polishes the best candidates.  Every evaluation goes through the same
-pure objective, and all randomness flows from one integer seed, so a given
-(seed, system, target) triple reproduces identical results on the same
-platform and library versions.  Elsewhere results agree only up to rounding,
-and rounding differences can settle a design in another local optimum.
+descent polishes the best candidates.  All randomness flows from one integer
+seed, so a given (seed, system, target) triple reproduces identical results
+on the same platform and library versions.  Elsewhere results agree only up
+to rounding, and rounding differences can settle a design in another local
+optimum.
+
+Every evaluation goes through the same pure objective, and it runs in
+blocks: it maps a (P, k) block of layout vectors to P losses through the
+batched kernel ``train_product``, so the swarm evaluates its whole
+population per iteration and a finite-difference gradient all of its probes
+at once.  One row is one evaluation.  The kernel's propagators agree with
+``composite_unitary`` only up to rounding, so seeded designs match those of
+the pulse-by-pulse objective that came before it only up to rounding too.
+A row's loss does not depend on the block it is evaluated in.
 
 The objective is the modulus loss of the nominal pulse, or, when an
 ``OffsetEnsemble`` is passed, the ``robust_loss`` over the pulses its offset
@@ -20,6 +29,7 @@ best loss every ``_LOG_EVERY`` iterations, and each refinement's result.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -28,8 +38,14 @@ from scipy.optimize import minimize
 
 from .fockspace import SystemConfig
 from .objective import TargetSpec, modulus_loss
-from .pulses import CompositePulse, ParamLayout, composite_unitary
-from .robustness import OffsetEnsemble, robust_loss
+from .pulses import (
+    CompositePulse,
+    ParamLayout,
+    composite_unitary,  # noqa: F401  the reference path, rebound by bench/tracer.py
+    drive_eigenpairs,
+    train_product,
+)
+from .robustness import OffsetEnsemble, ensemble_losses
 
 __all__ = [
     "PsoConfig",
@@ -50,6 +66,11 @@ _LOG_EVERY = 100
 _TIE_TOL = 1e-12
 
 
+def _check_integer(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PsoConfig:
     """Swarm settings.  Defaults follow the constriction-factor convention."""
@@ -62,6 +83,8 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("particles", "iterations", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.particles < 8:
             raise ValueError(f"particles must be >= 8, got {self.particles}")
         if self.iterations < 1:
@@ -80,6 +103,7 @@ class RefineConfig:
     tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
+        _check_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0 < self.gradient_step <= 1e-3:
@@ -107,11 +131,15 @@ class OptimizationResult:
 
 
 class _TrackedObjective:
-    """Wraps a vector objective with bounds enforcement and incumbent tracking."""
+    """Wraps a block objective with bounds enforcement and incumbent tracking.
+
+    The objective maps a (P, k) block of vectors to P losses.  Every row
+    counts as one evaluation, and the history is appended in row order.
+    """
 
     def __init__(
         self,
-        func: Callable[[np.ndarray], float],
+        func: Callable[[np.ndarray], np.ndarray],
         lower: np.ndarray,
         upper: np.ndarray,
     ):
@@ -123,21 +151,22 @@ class _TrackedObjective:
         self.best_f = np.inf
         self.history: list[tuple[int, float]] = []
 
-    def __call__(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.lower) or np.any(x > self.upper):
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        block = np.asarray(block, dtype=float)
+        if np.any(block < self.lower) or np.any(block > self.upper):
             raise ValueError("objective evaluated outside its box bounds")
-        value = float(self.func(x))
-        self.evaluations += 1
-        if value < self.best_f:
-            self.best_f = value
-            self.best_x = x.copy()
-            self.history.append((self.evaluations, value))
-        return value
+        values = np.asarray(self.func(block), dtype=float)
+        for x, value in zip(block, values.tolist()):
+            self.evaluations += 1
+            if value < self.best_f:
+                self.best_f = value
+                self.best_x = x.copy()
+                self.history.append((self.evaluations, value))
+        return values
 
 
 def finite_difference_gradient(
-    func: Callable[[np.ndarray], float],
+    func: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     step: float,
     lower: np.ndarray | None = None,
@@ -145,58 +174,61 @@ def finite_difference_gradient(
 ) -> np.ndarray:
     """Central-difference gradient that never probes outside box bounds.
 
-    Coordinates closer than one step to a bound fall back to the one-sided
-    three-point stencil of the same order, so bounded objectives may assume
-    every probe is feasible.  Raises on non-finite differences, naming the
-    offending coordinate.
+    ``func`` maps a (P, n) block of points to P values, and every probe is
+    evaluated in one block.  Coordinates closer than one step to a bound fall
+    back to the one-sided three-point stencil of the same order, so bounded
+    objectives may assume every probe is feasible.  Raises on non-finite
+    differences, naming the offending coordinate.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     lower = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    grad = np.empty(n)
-    f0: float | None = None
-    for j in range(n):
-        up_ok = x[j] + step <= upper[j]
-        down_ok = x[j] - step >= lower[j]
-        probe = x.copy()
-        if up_ok and down_ok:
-            probe[j] = x[j] + step
-            f_plus = func(probe)
-            probe[j] = x[j] - step
-            f_minus = func(probe)
-            grad[j] = (f_plus - f_minus) / (2.0 * step)
-        else:
-            if f0 is None:
-                f0 = func(x)
-            sign = 1.0 if up_ok else -1.0
-            probe[j] = x[j] + sign * step
-            f1 = func(probe)
-            probe[j] = x[j] + sign * 2.0 * step
-            f2 = func(probe)
-            grad[j] = sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * step)
-        if not np.isfinite(grad[j]):
-            raise FloatingPointError(
-                f"non-finite gradient in coordinate {j} at x[{j}]={x[j]!r}"
-            )
+    up_ok = x + step <= upper
+    down_ok = x - step >= lower
+    central = up_ok & down_ok
+    # one-sided stencils step towards the open side, and share f(x)
+    sign = np.where(up_ok, 1.0, -1.0)
+    first = np.where(central, step, sign * step)
+    second = np.where(central, -step, sign * 2.0 * step)
+    # rows 2j and 2j + 1 probe coordinate j
+    probes = np.repeat(x[None, :], 2 * n, axis=0)
+    probes[0::2][np.arange(n), np.arange(n)] += first
+    probes[1::2][np.arange(n), np.arange(n)] += second
+    if not central.all():
+        probes = np.vstack([x[None, :], probes])
+    values = np.asarray(func(probes), dtype=float)
+    f0, (f1, f2) = values[0], values[-2 * n :].reshape(n, 2).T
+    grad = np.where(
+        central,
+        (f1 - f2) / (2.0 * step),
+        sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * step),
+    )
+    bad = np.flatnonzero(~np.isfinite(grad))
+    if bad.size:
+        j = int(bad[0])
+        raise FloatingPointError(
+            f"non-finite gradient in coordinate {j} at x[{j}]={x[j]!r}"
+        )
     return grad
 
 
-def _finite_or_inf(values: list[float]) -> np.ndarray:
+def _finite_or_inf(values: np.ndarray) -> np.ndarray:
     losses = np.array(values, dtype=float)
     losses[~np.isfinite(losses)] = np.inf
     return losses
 
 
 def _pso_minimize(
-    func: Callable[[np.ndarray], float],
+    func: Callable[[np.ndarray], np.ndarray],
     lower: np.ndarray,
     upper: np.ndarray,
     pcfg: PsoConfig,
 ) -> tuple[np.ndarray, float]:
     """Global-best particle swarm over a box.  Returns (x, f).
 
-    Non-finite losses count as +inf, so they never lead the swarm.
+    ``func`` maps the (particles, k) population to its losses, one block per
+    iteration.  Non-finite losses count as +inf, so they never lead the swarm.
     """
     rng = np.random.default_rng(pcfg.seed)
     n_dim = lower.size
@@ -204,7 +236,7 @@ def _pso_minimize(
     pos = lower + span * rng.random((pcfg.particles, n_dim))
     vel = np.zeros((pcfg.particles, n_dim))
 
-    losses = _finite_or_inf([func(p) for p in pos])
+    losses = _finite_or_inf(func(pos))
     best_pos = pos.copy()
     best_losses = losses.copy()
     g = int(np.argmin(best_losses))
@@ -220,7 +252,7 @@ def _pso_minimize(
             + pcfg.social * r_soc * (g_pos - pos)
         )
         pos = np.clip(pos + vel, lower, upper)
-        losses = _finite_or_inf([func(p) for p in pos])
+        losses = _finite_or_inf(func(pos))
         improved = losses < best_losses
         best_pos[improved] = pos[improved]
         best_losses[improved] = losses[improved]
@@ -239,12 +271,43 @@ def _pulse_objective(
     layout: ParamLayout,
     target: TargetSpec,
     ensemble: OffsetEnsemble | None = None,
-) -> Callable[[np.ndarray], float]:
-    def objective(x: np.ndarray) -> float:
-        cp = layout.unpack(x, template)
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Map a (P, k) block of layout vectors to the P losses of their trains.
+
+    The block is sliced by the layout's slot order: durations ``[:, :n]``,
+    phases ``[:, n:2n-1]`` after the template's first, and the shared
+    detuning ``[:, -1]`` when the layout frees it.  The template's pulses
+    must share one Rabi rate, and one detuning unless the layout frees it.
+    A fixed detuning is eigendecomposed once, here; a free one once per
+    distinct value in each block, in one batched ``eigh``.
+    """
+    n = layout.count
+    if len(template) != n:
+        raise ValueError(f"layout has {n} pulses but the template has {len(template)}")
+    omega = template[0].omega
+    delta = None if layout.shared_delta else template[0].delta
+    if any(
+        p.omega != omega or (delta is not None and p.delta != delta) for p in template
+    ):
+        raise ValueError("the template's pulses do not share one drive")
+    fixed = None if delta is None else drive_eigenpairs(cfg, delta, omega)
+    phase_0 = template[0].phi
+
+    def objective(block: np.ndarray) -> np.ndarray:
+        block = np.asarray(block, dtype=float)
+        durations = block[:, :n]
+        phases = np.hstack([np.full((len(block), 1), phase_0), block[:, n : 2 * n - 1]])
+        energies, vectors = (
+            drive_eigenpairs(cfg, block[:, -1], omega) if fixed is None else fixed
+        )
         if ensemble is not None:
-            return robust_loss(cfg, cp, target, ensemble)
-        return modulus_loss(composite_unitary(cfg, cp), target)
+            return ensemble_losses(
+                cfg.cutoff, energies, vectors, durations, phases, target, ensemble
+            )
+        u = train_product(cfg.cutoff, energies, vectors, durations, phases)
+        # One call per row: the loss observer of bench/tracer.py expects a
+        # scalar from modulus_loss, and the call count is its evaluation count.
+        return np.array([modulus_loss(row, target) for row in u])
 
     return objective
 
@@ -301,7 +364,7 @@ def refine(
         )
 
     minimize(
-        tracked,
+        lambda x: tracked(x[None, :])[0],
         x0,
         jac=jac,
         method="L-BFGS-B",

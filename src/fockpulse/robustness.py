@@ -7,7 +7,10 @@ touch later pulses.
 
 The same offset grids can also be designed against: ``robust_loss`` scores a
 pulse by a soft worst case of the modulus loss over every pulse that the
-grids of an ``OffsetEnsemble`` perturb it into.
+grids of an ``OffsetEnsemble`` perturb it into.  A duration offset only
+changes the times and a phase offset only the phases of a train, so every
+member shares the drive of its pulse, and ``ensemble_losses`` scores a whole
+block of trains with all their members in one ``train_product`` call.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ import numpy as np
 
 from .fockspace import SystemConfig
 from .objective import TargetSpec, excitation_profile, modulus_loss
-from .pulses import CompositePulse, composite_unitary
+from .pulses import (
+    CompositePulse,
+    composite_unitary,
+    drive_eigenpairs,
+    shared_drive,
+    train_product,
+)
 
 __all__ = [
     "SweepSpec",
@@ -29,6 +38,7 @@ __all__ = [
     "perturb",
     "sweep",
     "robust_loss",
+    "ensemble_losses",
 ]
 
 
@@ -124,6 +134,25 @@ class OffsetEnsemble:
         object.__setattr__(self, "specs", specs)
         object.__setattr__(self, "weights", weights)
 
+    def offsets(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(weights, duration offsets, phase offsets) of the members of a train.
+
+        For a train of ``count`` pulses the arrays are (M,), (M, count) and
+        (M, count); row 0 is the nominal pulse (weight 1, no offsets), then
+        each spec's grid in order.  A member's durations are
+        ``max(t + dt, 0)``, clamped exactly as ``perturb`` clamps them.
+        """
+        weights, dt, dphi = [1.0], [np.zeros((1, count))], [np.zeros((1, count))]
+        for spec, weight in zip(self.specs, self.weights):
+            selected = np.zeros(count, dtype=bool)
+            selected[_selected_pulses(count, spec.axis, spec.which)] = True
+            grid = np.where(selected, spec.offsets()[:, None], 0.0)
+            idle = np.zeros_like(grid)
+            weights += [weight] * spec.points
+            dt.append(grid if spec.axis == "duration" else idle)
+            dphi.append(grid if spec.axis == "phase" else idle)
+        return np.array(weights), np.concatenate(dt), np.concatenate(dphi)
+
     def members(self, cp: CompositePulse) -> list[tuple[float, CompositePulse]]:
         """(weight, pulse) for every member, the nominal pulse first."""
         out = [(1.0, cp)]
@@ -162,6 +191,24 @@ class SweepResult:
         return best
 
 
+def _selected_pulses(
+    n: int, axis: Literal["duration", "phase"], which: int | Literal["all"]
+) -> list[int]:
+    """Indices of the pulses an offset on ``axis`` applies to; validates them."""
+    if axis == "duration":
+        selected = list(range(n)) if which == "all" else [which]
+    elif axis == "phase":
+        selected = list(range(1, n)) if which == "all" else [which]
+        if which != "all" and which == 0:
+            raise ValueError("pulse 0 carries the reference phase; cannot offset it")
+    else:
+        raise ValueError(f"axis must be 'duration' or 'phase', got {axis!r}")
+    for k in selected:
+        if not 0 <= k < n:
+            raise ValueError(f"pulse index {k} outside the train of {n}")
+    return selected
+
+
 def perturb(
     cp: CompositePulse,
     axis: Literal["duration", "phase"],
@@ -174,19 +221,7 @@ def perturb(
     the flag reports whether clamping happened.  Phase offsets never apply to
     the first pulse: its phase defines the frame.
     """
-    n = len(cp)
-    if axis == "duration":
-        selected = range(n) if which == "all" else [which]
-    elif axis == "phase":
-        selected = range(1, n) if which == "all" else [which]
-        if which != "all" and which == 0:
-            raise ValueError("pulse 0 carries the reference phase; cannot offset it")
-    else:
-        raise ValueError(f"axis must be 'duration' or 'phase', got {axis!r}")
-    for k in selected:
-        if not 0 <= k < n:
-            raise ValueError(f"pulse index {k} outside the train of {n}")
-
+    selected = _selected_pulses(len(cp), axis, which)
     clamped = False
     out = list(cp.pulses)
     for k in selected:
@@ -229,6 +264,36 @@ def sweep(
     )
 
 
+def ensemble_losses(
+    cutoff: int,
+    energies: np.ndarray,
+    vectors: np.ndarray,
+    durations: np.ndarray,
+    phases: np.ndarray,
+    target: TargetSpec,
+    ensemble: OffsetEnsemble,
+) -> np.ndarray:
+    """``robust_loss`` of each of B trains, all members in one kernel call.
+
+    ``durations`` and ``phases`` are (B, n); ``energies`` and ``vectors`` are
+    the eigenpairs of the trains' drive, shared or one per row, as
+    ``train_product`` takes them.
+    """
+    rows, count = durations.shape
+    weights, dt, dphi = ensemble.offsets(count)
+    size = weights.size
+    t = np.maximum(durations[:, None, :] + dt, 0.0).reshape(rows * size, count)
+    phi = (phases[:, None, :] + dphi).reshape(rows * size, count)
+    if energies.ndim == 2:  # one drive per train: every member shares it
+        energies = np.repeat(energies, size, axis=0)
+        vectors = np.repeat(vectors, size, axis=0)
+    u = train_product(cutoff, energies, vectors, t, phi)
+    losses = weights * modulus_loss(u, target).reshape(rows, size)
+    m = losses.max(axis=1)
+    s = _SHARPNESS
+    return m + np.log(np.mean(np.exp(s * (losses - m[:, None])), axis=1)) / s
+
+
 def robust_loss(
     cfg: SystemConfig,
     cp: CompositePulse,
@@ -240,14 +305,15 @@ def robust_loss(
     With weighted losses l_i, the largest m and s = ``_SHARPNESS`` this is
     m + log(mean(exp(s * (l_i - m)))) / s: no term can overflow, the value
     lies within log(N) / s below m and never above it, and an ensemble of
-    the nominal pulse alone gives its modulus loss unchanged.
+    the nominal pulse alone gives its modulus loss unchanged.  The pulses of
+    ``cp`` must share one drive (delta, omega).
     """
-    losses = np.array(
-        [
-            weight * modulus_loss(composite_unitary(cfg, member), target)
-            for weight, member in ensemble.members(cp)
-        ]
+    delta, omega = shared_drive(cp)
+    energies, vectors = drive_eigenpairs(cfg, delta, omega)
+    durations = np.array([[p.t for p in cp]])
+    phases = np.array([[p.phi for p in cp]])
+    return float(
+        ensemble_losses(
+            cfg.cutoff, energies, vectors, durations, phases, target, ensemble
+        )[0]
     )
-    m = losses.max()
-    s = _SHARPNESS
-    return float(m + np.log(np.mean(np.exp(s * (losses - m)))) / s)

@@ -1,10 +1,10 @@
 """Shared fixtures: the acceptance report and a disk cache for designed pulses.
 
-Pulse design is deterministic but slow (minutes per multi-start search), so
-acceptance tests cache designed pulses under ``tests/_cache`` keyed by a hash
-of every input that influences the search.  The entries are committed
-fixtures; deleting one forces its re-design, and they are plain JSON and safe
-to inspect.
+Pulse design is deterministic but slow (up to about a minute per multi-start
+search), so acceptance tests cache designed pulses under ``tests/_cache``
+keyed by a hash of every input that influences the search.  The entries are
+committed fixtures; deleting one forces its re-design, and they are plain JSON
+and safe to inspect.
 """
 
 from __future__ import annotations

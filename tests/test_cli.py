@@ -299,6 +299,24 @@ def test_misspelled_config_key_exits_two(tmp_path, caplog, block, misspelled):
     assert f"'{block}' block" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "block, bad",
+    [
+        ("pso", {"seed": "1"}),
+        ("pso", {"particles": 8.5}),
+        ("pso", {"iterations": True}),
+        ("refine", {"max_iters": 10.0}),
+    ],
+)
+def test_non_integer_count_or_seed_exits_two(tmp_path, caplog, block, bad):
+    cfg_path = tmp_path / "run.json"
+    doc = _write_config(cfg_path)
+    _write_config(cfg_path, **{block: {**doc[block], **bad}})
+    code = main(["--quiet", "design", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 2
+    assert "must be an integer" in caplog.text
+
+
 def test_design_logs_progress_through_logging(tmp_path, caplog, capsys):
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path)

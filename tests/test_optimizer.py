@@ -1,9 +1,12 @@
 """Tests for the swarm + quasi-Newton search machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fockpulse import (
+    CompositePulse,
     OffsetEnsemble,
     OptimizationResult,
     PsoConfig,
@@ -17,7 +20,10 @@ from fockpulse import (
     pso_search,
     refine,
     robust_loss,
+    shelving_target,
+    strong_drive_layout,
     swap_target,
+    train_unitaries,
     uniform_pulse_train,
     weak_drive_layout,
 )
@@ -36,6 +42,11 @@ LAYOUT = weak_drive_layout(3, eta=CFG.eta, omega=0.1)
 TEMPLATE = uniform_pulse_train(3, delta=1.0, omega=0.1)
 
 
+def _rows(func):
+    """Block objective evaluating a scalar function on every row."""
+    return lambda block: np.array([func(x) for x in block])
+
+
 def test_pso_config_rejects_bad_values():
     with pytest.raises(ValueError, match="particles"):
         PsoConfig(particles=4)
@@ -43,6 +54,22 @@ def test_pso_config_rejects_bad_values():
         PsoConfig(iterations=0)
     with pytest.raises(ValueError, match="inertia"):
         PsoConfig(inertia=0.0)
+
+
+@pytest.mark.parametrize(
+    "make, bad",
+    [
+        (PsoConfig, {"particles": 8.5}),
+        (PsoConfig, {"iterations": "30"}),
+        (PsoConfig, {"seed": "1"}),
+        (PsoConfig, {"seed": False}),
+        (RefineConfig, {"max_iters": 10.0}),
+    ],
+)
+def test_configs_reject_non_integer_counts_and_seeds(make, bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make(**bad)
+    assert PsoConfig(particles=np.int64(8), seed=np.int64(3)).seed == 3
 
 
 def test_refine_config_rejects_bad_values():
@@ -63,7 +90,7 @@ def test_pso_engine_solves_shifted_quadratic():
         return float(np.sum((x - center) ** 2))
 
     pcfg = PsoConfig(particles=32, iterations=200, seed=7)
-    tracked = _TrackedObjective(func, lower, upper)
+    tracked = _TrackedObjective(_rows(func), lower, upper)
     x, loss = _pso_minimize(tracked, lower, upper, pcfg)
     assert np.allclose(x, center, atol=1e-3)
     assert loss < 1e-5
@@ -80,7 +107,9 @@ def test_pso_engine_respects_box():
         assert lower[0] <= x[0] <= upper[0]
         return float((x[0] + 5.0) ** 2)  # minimum far outside the box
 
-    _, loss = _pso_minimize(func, lower, upper, PsoConfig(particles=8, iterations=50, seed=0))
+    _, loss = _pso_minimize(
+        _rows(func), lower, upper, PsoConfig(particles=8, iterations=50, seed=0)
+    )
     # best feasible point is the lower edge
     assert loss == pytest.approx(36.0, abs=1e-6)
 
@@ -95,14 +124,14 @@ def test_pso_engine_never_keeps_a_nonfinite_incumbent():
         return float("nan") if x[0] < 0 else float(np.sum((x - center) ** 2))
 
     pcfg = PsoConfig(particles=32, iterations=200, seed=7)
-    tracked = _TrackedObjective(func, lower, upper)
+    tracked = _TrackedObjective(_rows(func), lower, upper)
     x, loss = _pso_minimize(tracked, lower, upper, pcfg)
     assert np.isfinite(loss)
     assert np.allclose(x, center, atol=1e-3)
     assert all(np.isfinite(value) for _, value in tracked.history)
 
     _, loss = _pso_minimize(
-        lambda x: float("nan"), lower, upper, PsoConfig(particles=8, iterations=3)
+        _rows(lambda x: float("nan")), lower, upper, PsoConfig(particles=8, iterations=3)
     )
     assert loss == np.inf
 
@@ -123,7 +152,7 @@ def test_robust_objective_pins_the_ensemble_aggregate():
     x = np.array([264.46, 528.91, 264.46, 0.95, 0.0])
     nominal = _pulse_objective(CFG, TEMPLATE, LAYOUT, TARGET)
     alone = _pulse_objective(CFG, TEMPLATE, LAYOUT, TARGET, OffsetEnsemble(()))
-    assert alone(x) == nominal(x)
+    assert alone(x[None]) == nominal(x[None])
 
     # the -300 offset drives every duration below zero, so it is clamped
     specs = (
@@ -149,8 +178,89 @@ def test_robust_objective_pins_the_ensemble_aggregate():
     )
     m, s = losses.max(), _SHARPNESS
     by_hand = m + np.log(np.mean(np.exp(s * (losses - m)))) / s
-    assert robust(x) == pytest.approx(by_hand, rel=1e-13)
-    assert m - np.log(losses.size) / s <= robust(x) <= m
+    [value] = robust(x[None])
+    assert value == pytest.approx(by_hand, rel=1e-13)
+    # The bounds hold exactly against the losses the objective aggregates,
+    # which the kernel computes.  The reference losses above differ from them
+    # by rounding (up to 3e-13 relative over these 1100-unit trains), and here
+    # the value sits on the lower bound, so they cannot stand in for them.
+    kernel = np.array(
+        [
+            weight
+            * modulus_loss(
+                train_unitaries(
+                    CFG, [[p.t for p in member]], [[p.phi for p in member]], 1.0, 0.1
+                )[0],
+                TARGET,
+            )
+            for weight, member in members
+        ]
+    )
+    assert np.allclose(kernel, losses, rtol=1e-11, atol=0.0)
+    m = kernel.max()
+    assert m - np.log(losses.size) / s <= value <= m
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_block_rows_do_not_depend_on_their_block(strong):
+    cfg = SystemConfig(cutoff=3)
+    omega = 1.0 if strong else 0.1
+    layout = (strong_drive_layout if strong else weak_drive_layout)(
+        3, eta=cfg.eta, omega=omega
+    )
+    template = uniform_pulse_train(3, delta=1.0, omega=omega)
+    target = shelving_target(3, 0) if strong else TARGET
+    ensemble = OffsetEnsemble(
+        (
+            SweepSpec(axis="phase", lower=-0.5, upper=0.5, points=3),
+            SweepSpec(axis="duration", lower=-300.0, upper=40.0, points=4),
+            SweepSpec(axis="duration", lower=-5.0, upper=5.0, points=3, which=1),
+        ),
+        weights=(2.0, 1.0, 0.5),
+    )
+    lower, upper = layout.slot_bounds()
+    block = lower + (upper - lower) * np.random.default_rng(9).random((64, layout.dim))
+    nominal = _pulse_objective(cfg, template, layout, target)
+    robust = _pulse_objective(cfg, template, layout, target, ensemble)
+    losses, robust_losses = nominal(block), robust(block)
+    for i in (0, 31, 63):
+        row = block[i : i + 1]
+        assert nominal(row)[0] == losses[i]
+        assert robust(row)[0] == robust_losses[i]
+        cp = layout.unpack(block[i], template)
+        assert robust_loss(cfg, cp, target, ensemble) == robust_losses[i]
+        assert modulus_loss(composite_unitary(cfg, cp), target) == pytest.approx(
+            losses[i], abs=1e-12
+        )
+
+
+def test_pulse_objective_needs_one_drive_across_the_template():
+    mixed = CompositePulse(TEMPLATE.pulses[:2] + (replace(TEMPLATE[2], delta=1.1),))
+    with pytest.raises(ValueError, match="one drive"):
+        _pulse_objective(CFG, mixed, LAYOUT, TARGET)
+    # a freed detuning overrides the template's, so only the Rabi rate must agree
+    strong = strong_drive_layout(3, eta=CFG.eta, omega=0.1)
+    lower, upper = strong.slot_bounds()
+    assert _pulse_objective(CFG, mixed, strong, TARGET)(lower[None]).shape == (1,)
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_seeded_design_repeats_bit_for_bit(strong):
+    pcfg = PsoConfig(particles=16, iterations=20, seed=4)
+    rcfg = RefineConfig(max_iters=20)
+    omega = 1.0 if strong else 0.1
+    layout = (strong_drive_layout if strong else weak_drive_layout)(
+        3, eta=CFG.eta, omega=omega
+    )
+    template = uniform_pulse_train(3, delta=1.0, omega=omega)
+    target = shelving_target(3, 0) if strong else TARGET
+    runs = [
+        design_pulse(CFG, template, layout, target, pcfg, rcfg, starts=2, refine_top=1)
+        for _ in range(2)
+    ]
+    a, b = runs
+    assert a.pulse == b.pulse
+    assert (a.loss, a.evaluations, a.history) == (b.loss, b.evaluations, b.history)
 
 
 def test_robust_search_reports_the_ensemble_loss():
@@ -179,7 +289,7 @@ def test_gradient_matches_analytic_on_smooth_function():
     expected = np.array(
         [np.cos(x[0]) - x[1] ** 2 * np.sin(x[0]), 2 * x[1] * np.cos(x[0])]
     )
-    grad = finite_difference_gradient(func, x, 1e-6)
+    grad = finite_difference_gradient(_rows(func), x, 1e-6)
     assert np.allclose(grad, expected, rtol=1e-4)
 
 
@@ -193,7 +303,7 @@ def test_gradient_near_bound_stays_feasible_and_accurate():
         return float(np.exp(x[0]) + 3.0 * x[1])
 
     x = np.array([0.0, 1.0])  # both coordinates pinned to a bound
-    grad = finite_difference_gradient(func, x, 1e-6, lower, upper)
+    grad = finite_difference_gradient(_rows(func), x, 1e-6, lower, upper)
     for probe in probes:
         assert np.all(probe >= lower) and np.all(probe <= upper)
     assert grad[0] == pytest.approx(1.0, rel=1e-4)
@@ -205,22 +315,22 @@ def test_gradient_raises_on_nonfinite_difference():
         return float("nan") if x[1] != 0.25 else 1.0
 
     with pytest.raises(FloatingPointError, match="coordinate 1"):
-        finite_difference_gradient(func, np.array([0.5, 0.25]), 1e-6)
+        finite_difference_gradient(_rows(func), np.array([0.5, 0.25]), 1e-6)
 
 
 def test_tracked_objective_enforces_bounds_and_tracks_incumbent():
     tracked = _TrackedObjective(
-        lambda x: float(x[0] ** 2), np.array([-1.0]), np.array([1.0])
+        _rows(lambda x: float(x[0] ** 2)), np.array([-1.0]), np.array([1.0])
     )
-    assert tracked(np.array([0.5])) == 0.25
-    assert tracked(np.array([-0.25])) == 0.0625
-    assert tracked(np.array([0.9])) == pytest.approx(0.81)
+    assert tracked(np.array([[0.5]]))[0] == 0.25
+    assert tracked(np.array([[-0.25]]))[0] == 0.0625
+    assert tracked(np.array([[0.9]]))[0] == pytest.approx(0.81)
     assert tracked.best_f == 0.0625
     assert tracked.best_x[0] == -0.25
     assert tracked.evaluations == 3
     assert [loss for _, loss in tracked.history] == [0.25, 0.0625]
     with pytest.raises(ValueError, match="bounds"):
-        tracked(np.array([1.5]))
+        tracked(np.array([[1.5]]))
 
 
 def test_refine_never_worse_than_start():

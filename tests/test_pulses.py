@@ -12,7 +12,11 @@ from fockpulse.pulses import (
     PulseParams,
     analytic_swap_parameters,
     composite_unitary,
+    drive_eigenpairs,
+    shared_drive,
     strong_drive_layout,
+    train_product,
+    train_unitaries,
     uniform_pulse_train,
     weak_drive_layout,
 )
@@ -203,3 +207,94 @@ class TestParamLayout:
         rng = np.random.default_rng(seed)
         vec = lower + (upper - lower) * rng.random(layout.dim)
         assert np.array_equal(layout.pack(layout.unpack(vec, template)), vec)
+
+
+class TestTrainUnitaries:
+    """The batched kernel against the pulse-by-pulse reference."""
+
+    @staticmethod
+    def reference(cfg, cp):
+        """composite_unitary and its agreement bar: 1e-12 per unit of
+        duration x spectral radius (largest absolute row sum of H), per
+        matrix dimension."""
+        horizon = sum(
+            p.t
+            * np.abs(build_hamiltonian(cfg, delta=p.delta, omega=p.omega, phi=p.phi))
+            .sum(axis=1)
+            .max()
+            for p in cp
+        )
+        return composite_unitary(cfg, cp), 1e-12 * max(1.0, horizon) * cfg.dim
+
+    @pytest.mark.parametrize("cutoff", [3, 6, 10])
+    @pytest.mark.parametrize("fock_offset", [0, 7])
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_matches_composite_unitary(self, cutoff, fock_offset, strong):
+        cfg = SystemConfig(cutoff=cutoff, fock_offset=fock_offset)
+        omega = 1.0 if strong else OMEGA
+        layout = (strong_drive_layout if strong else weak_drive_layout)(
+            4, eta=cfg.eta, omega=omega
+        )
+        lower, upper = layout.slot_bounds()
+        rng = np.random.default_rng(100 * cutoff + fock_offset + strong)
+        rows = lower + (upper - lower) * rng.random((12, layout.dim))
+        durations = rows[:, :4]
+        durations[:3, 1] = 0.0  # zero-length pulses
+        # clamped ensemble members: a common offset driving some pulses below 0
+        durations[3:6] = np.maximum(durations[3:6] - 0.5 * upper[0], 0.0)
+        phases = np.hstack([np.zeros((12, 1)), rows[:, 4:7]])
+        delta = rows[:, -1] if strong else 1.0
+        u = train_unitaries(cfg, durations, phases, delta, omega)
+        assert u.shape == (12, cfg.dim, cfg.dim)
+        for b in range(12):
+            d = delta[b] if strong else delta
+            cp = CompositePulse(
+                tuple(
+                    PulseParams(delta=d, omega=omega, phi=f, t=t)
+                    for t, f in zip(durations[b], phases[b])
+                )
+            )
+            ref, bar = self.reference(cfg, cp)
+            assert np.abs(u[b] - ref).max() <= bar
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        cfg = SystemConfig(cutoff=3)
+        rng = np.random.default_rng(5)
+        durations = rng.uniform(0.0, 1500.0, (64, 3))
+        phases = rng.uniform(0.0, 2 * np.pi, (64, 3))
+        deltas = rng.uniform(0.25, 2.5, 64)
+        shared = train_unitaries(cfg, durations, phases, 1.0, OMEGA)
+        per_row = train_unitaries(cfg, durations, phases, deltas, 1.0)
+        for b in (0, 17, 63):
+            alone = train_unitaries(cfg, durations[b : b + 1], phases[b : b + 1], 1.0, OMEGA)
+            assert np.array_equal(alone[0], shared[b])
+            alone = train_unitaries(
+                cfg, durations[b : b + 1], phases[b : b + 1], deltas[b], 1.0
+            )
+            assert np.array_equal(alone[0], per_row[b])
+
+    def test_eigenpairs_of_a_detuning_batch(self):
+        cfg = SystemConfig(cutoff=3)
+        deltas = np.array([0.5, 1.5, 0.5])
+        energies, vectors = drive_eigenpairs(cfg, deltas, 1.0)
+        assert energies.shape == (3, cfg.dim) and vectors.shape == (3, 6, 6)
+        for d, w, v in zip(deltas, energies, vectors):
+            one_w, one_v = drive_eigenpairs(cfg, d, 1.0)
+            assert np.array_equal(w, one_w) and np.array_equal(v, one_v)
+            h = build_hamiltonian(cfg, delta=d, omega=1.0, phi=0.0)
+            assert np.allclose(h @ v, v * w, atol=1e-13)
+
+    def test_rejects_mismatched_shapes(self):
+        cfg = SystemConfig(cutoff=3)
+        with pytest.raises(ValueError, match="durations"):
+            train_unitaries(cfg, np.ones((2, 3)), np.ones((2, 2)), 1.0, OMEGA)
+        w, v = drive_eigenpairs(cfg, 1.0, OMEGA)
+        with pytest.raises(ValueError, match="n >= 1"):
+            train_product(cfg.cutoff, w, v, np.ones((2, 0)), np.ones((2, 0)))
+
+    def test_shared_drive(self):
+        cp = uniform_pulse_train(3, delta=1.2, omega=OMEGA)
+        assert shared_drive(cp) == (1.2, OMEGA)
+        mixed = CompositePulse(cp.pulses[:2] + (PulseParams(1.0, OMEGA, 0.0, 1.0),))
+        with pytest.raises(ValueError, match="share"):
+            shared_drive(mixed)

@@ -55,6 +55,32 @@ def test_offset_ensemble_validation_and_members():
     assert [m.total_duration for _, m in members] == [250.0, 20.0, 250.0, 550.0]
 
 
+def test_offset_arrays_build_the_members():
+    ensemble = OffsetEnsemble(
+        (
+            SweepSpec(axis="duration", lower=-100, upper=100, points=3),
+            SweepSpec(axis="phase", lower=-0.5, upper=0.5, points=3, which=2),
+            SweepSpec(axis="duration", lower=-60, upper=10, points=4, which=1),
+            SweepSpec(axis="phase", lower=-0.2, upper=0.2, points=3),
+        ),
+        weights=(3.0, 2.0, 1.0, 0.5),
+    )
+    weights, dt, dphi = ensemble.offsets(len(TRAIN))
+    assert dt.shape == dphi.shape == (1 + 3 + 3 + 4 + 3, len(TRAIN))
+    t = np.array([p.t for p in TRAIN])
+    phi = np.array([p.phi for p in TRAIN])
+    for w, row_t, row_phi, (weight, member) in zip(
+        weights, np.maximum(t + dt, 0.0), phi + dphi, ensemble.members(TRAIN)
+    ):
+        assert w == weight
+        assert row_t.tolist() == [p.t for p in member]
+        assert row_phi.tolist() == [p.phi for p in member]
+    with pytest.raises(ValueError, match="reference phase"):
+        OffsetEnsemble((SweepSpec("phase", -1, 1, 3, which=0),)).offsets(3)
+    with pytest.raises(ValueError, match="outside the train"):
+        OffsetEnsemble((SweepSpec("duration", -1, 1, 3, which=3),)).offsets(3)
+
+
 def test_perturb_duration_shifts_every_pulse():
     shifted, clamped = perturb(TRAIN, "duration", 7.5)
     assert not clamped

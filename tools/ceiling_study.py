@@ -17,13 +17,13 @@ bounds on the true ceiling.  More pulses need not do better: a pulse of zero
 length still switches on under a positive duration offset, so an N-pulse box
 does not hold the fewer-pulse trains' robustness.
 
-The search evaluates the grids with a batched propagator of its own: every
-pulse shares one Hamiltonian up to the phase, H(phi) = P H(0) P^dagger with
-P = exp(i phi) on the excited block, so one ``eigh`` serves every member.
-Each reported floor is then recomputed with ``sweep``, which builds every
-propagator with ``composite_unitary``, and the two must agree to 1e-9.  The
-report also gives the duration floor over whole trap periods only (offsets
-2*pi*k, |k| <= 10), where the off-resonant carrier ripple is in phase.
+The search evaluates the grids with the package's batched kernel
+``train_unitaries``: every pulse shares one Hamiltonian up to the phase, so
+one ``eigh`` serves every member.  Each reported floor is then recomputed
+with ``sweep``, which builds every propagator with ``composite_unitary``, and
+the two must agree to 1e-9.  The report also gives the duration floor over
+whole trap periods only (offsets 2*pi*k, |k| <= 10), where the off-resonant
+carrier ripple is in phase.
 
 Run from the repository root:
 
@@ -31,7 +31,10 @@ Run from the repository root:
 
 The recorded ``tools/ceiling_study.txt`` joins two runs made in parallel, one
 per mode (``--modes joint`` and ``--modes held``); each took about 18 minutes on
-one core of a two-core x86-64 machine.
+one core of a two-core x86-64 machine, with an earlier propagator that carried
+only the |g,0> column.  ``train_unitaries`` builds whole 6x6 propagators and
+makes one evaluation of both grids about four times slower (0.8 ms -> 3.6 ms
+on that machine), so a run now takes over an hour per mode.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ from fockpulse import (
     SweepSpec,
     SystemConfig,
     TransitionProbe,
-    build_hamiltonian,
     composite_unitary,
     perturb,
     sweep,
+    train_unitaries,
     uniform_pulse_train,
     weak_drive_layout,
 )
@@ -71,25 +74,13 @@ class GridFloors:
         self.count = count
         self.layout = weak_drive_layout(count, eta=CFG.eta, omega=OMEGA)
         self.template = uniform_pulse_train(count, delta=1.0, omega=OMEGA)
-        h = build_hamiltonian(CFG, delta=1.0, omega=OMEGA, phi=0.0)
-        self.energies, self.vectors = np.linalg.eigh(h)
-        self.excited = np.arange(CFG.dim) >= CFG.cutoff
         self.phase_offsets = PHASE_WINDOW.offsets()
         self.duration_offsets = DURATION_WINDOW.offsets()
 
     def _transfer(self, t: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """|<e,1|U|g,0>|^2 for member rows of durations ``t`` and phases ``phi``."""
-        psi = np.zeros((t.shape[0], CFG.dim), dtype=complex)
-        psi[:, 0] = 1.0
-        v = self.vectors
-        for k in range(self.count):
-            rot = np.where(self.excited, np.exp(1j * phi[:, k, None]), 1.0)
-            psi = psi * rot.conj()
-            psi = psi @ v.conj()
-            psi = psi * np.exp(-1j * self.energies[None, :] * t[:, k, None])
-            psi = psi @ v.T
-            psi = psi * rot
-        return np.abs(psi[:, CFG.cutoff + 1]) ** 2
+        u = train_unitaries(CFG, t, phi, 1.0, OMEGA)
+        return np.abs(u[:, CFG.cutoff + 1, 0]) ** 2
 
     def floors(self, x: np.ndarray) -> tuple[float, float]:
         n = self.count
