@@ -28,7 +28,13 @@ import numpy as np
 from .fockspace import SystemConfig
 from .library import PulseLibraryEntry, find_entry, load_entry, save_entry
 from .objective import TargetSpec, excitation_profile, shelving_target, swap_target
-from .optimizer import OptimizationResult, PsoConfig, RefineConfig, design_pulse
+from .optimizer import (
+    OptimizationResult,
+    PsoConfig,
+    RefineConfig,
+    _check_integer,
+    design_pulse,
+)
 from .pulses import (
     STRONG_DRIVE_OMEGA,
     WEAK_DRIVE_OMEGA,
@@ -128,14 +134,16 @@ class RunConfig:
         if regime not in ("weak", "strong"):
             raise ValueError(f"regime must be 'weak' or 'strong', got {regime!r}")
         system = _config_block(SystemConfig, doc, "system")
-        pulse_count = int(doc.get("pulse_count", 3))
+        pulse_count = _integer_key(doc, "pulse_count", 3)
         target = str(doc.get("target", "swap(0)"))
         parse_target(target, system.cutoff)  # fail fast on bad presets
         pso = _config_block(PsoConfig, doc, "pso")
         refine = _config_block(RefineConfig, doc, "refine")
-        starts = int(doc.get("starts", 4))
-        refine_top = int(doc.get("refine_top", 2))
+        starts = _integer_key(doc, "starts", 4)
+        refine_top = _integer_key(doc, "refine_top", 2)
         loss_threshold = float(doc.get("loss_threshold", 0.5))
+        if not math.isfinite(loss_threshold):
+            raise ValueError(f"loss_threshold must be finite, got {loss_threshold}")
         thermometry = doc.get("thermometry")
         if thermometry is not None and not isinstance(thermometry, dict):
             raise ValueError("'thermometry' must be an object")
@@ -163,6 +171,13 @@ class RunConfig:
         if not isinstance(doc, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
         return cls.from_document(doc)
+
+
+def _integer_key(doc: dict[str, Any], name: str, default: int) -> int:
+    """The integer under ``name``; a float, bool or string is bad input."""
+    value = doc.get(name, default)
+    _check_integer(name, value)
+    return int(value)
 
 
 def _config_block(cls: type, doc: dict[str, Any], name: str) -> Any:
@@ -361,10 +376,12 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
     block = rc.thermometry
     if block is None:
         raise ValueError("config has no 'thermometry' section")
-    window = [int(n) for n in block.get("window", [])]
-    if not window:
-        raise ValueError("thermometry config needs a nonempty 'window'")
-    truth_cutoff = int(block.get("truth_cutoff", 100))
+    window = block.get("window", [])
+    if not isinstance(window, list) or not window:
+        raise ValueError("thermometry config needs a nonempty 'window' list")
+    for n in window:
+        _check_integer("window entry", n)
+    truth_cutoff = _integer_key(block, "truth_cutoff", 100)
     cfg_truth = dataclasses.replace(
         rc.system, cutoff=truth_cutoff, fock_offset=0
     )

@@ -17,10 +17,11 @@ at once.  One row is one evaluation.  The kernel's propagators agree with
 the pulse-by-pulse objective that came before it only up to rounding too.
 A row's loss does not depend on the block it is evaluated in.
 
-The objective is the modulus loss of the nominal pulse, or, when an
-``OffsetEnsemble`` is passed, the ``robust_loss`` over the pulses its offset
-grids perturb the candidate into.  The swarm treats a non-finite loss as
-+inf, so such a candidate never becomes its incumbent.
+The objective is the ``robust_loss`` over the pulses the offset grids of an
+``OffsetEnsemble`` perturb the candidate into.  Without an ensemble it is that
+of ``OffsetEnsemble(())``, the nominal pulse alone, which equals its modulus
+loss bit for bit.  The swarm treats a non-finite loss as +inf, so such a
+candidate never becomes its incumbent.
 
 Progress goes to the ``fockpulse.optimizer`` logger at INFO level: the swarm's
 best loss every ``_LOG_EVERY`` iterations, and each refinement's result.
@@ -37,13 +38,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fockspace import SystemConfig
-from .objective import TargetSpec, modulus_loss
+from .objective import TargetSpec
+from .objective import modulus_loss  # noqa: F401  unused, rebound by bench/tracer.py
 from .pulses import (
     CompositePulse,
     ParamLayout,
     composite_unitary,  # noqa: F401  the reference path, rebound by bench/tracer.py
     drive_eigenpairs,
-    train_product,
 )
 from .robustness import OffsetEnsemble, ensemble_losses
 
@@ -65,6 +66,12 @@ _LOG_EVERY = 100
 # Losses closer than this are treated as ties and broken by total duration.
 _TIE_TOL = 1e-12
 
+# Constriction coefficients of the swarm (Eberhart & Shi, CEC 2000).
+_INERTIA, _COGNITIVE, _SOCIAL = 0.729, 1.49445, 1.49445
+
+# Step of the refinement's finite-difference gradient.
+_GRADIENT_STEP = 1e-6
+
 
 def _check_integer(name: str, value: object) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -73,13 +80,10 @@ def _check_integer(name: str, value: object) -> None:
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm settings.  Defaults follow the constriction-factor convention."""
+    """Swarm settings: population, iteration count and seed."""
 
     particles: int = 64
     iterations: int = 300
-    inertia: float = 0.729
-    cognitive: float = 1.49445
-    social: float = 1.49445
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -89,9 +93,6 @@ class PsoConfig:
             raise ValueError(f"particles must be >= 8, got {self.particles}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        for name in ("inertia", "cognitive", "social"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,17 +100,12 @@ class RefineConfig:
     """Local-descent settings for the bounded quasi-Newton stage."""
 
     max_iters: int = 500
-    gradient_step: float = 1e-6
     tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
         _check_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0 < self.gradient_step <= 1e-3:
-            raise ValueError(
-                f"gradient_step must lie in (0, 1e-3], got {self.gradient_step}"
-            )
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
@@ -247,9 +243,9 @@ def _pso_minimize(
         r_cog = rng.random((pcfg.particles, n_dim))
         r_soc = rng.random((pcfg.particles, n_dim))
         vel = (
-            pcfg.inertia * vel
-            + pcfg.cognitive * r_cog * (best_pos - pos)
-            + pcfg.social * r_soc * (g_pos - pos)
+            _INERTIA * vel
+            + _COGNITIVE * r_cog * (best_pos - pos)
+            + _SOCIAL * r_soc * (g_pos - pos)
         )
         pos = np.clip(pos + vel, lower, upper)
         losses = _finite_or_inf(func(pos))
@@ -274,16 +270,13 @@ def _pulse_objective(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Map a (P, k) block of layout vectors to the P losses of their trains.
 
-    The block is sliced by the layout's slot order: durations ``[:, :n]``,
-    phases ``[:, n:2n-1]`` after the template's first, and the shared
-    detuning ``[:, -1]`` when the layout frees it.  The template's pulses
-    must share one Rabi rate, and one detuning unless the layout frees it.
-    A fixed detuning is eigendecomposed once, here; a free one once per
-    distinct value in each block, in one batched ``eigh``.
+    ``layout.decode`` splits the block and ``ensemble_losses`` scores each row
+    over ``ensemble``, the nominal pulse alone when none is given.  The
+    template's pulses must share one Rabi rate, and one detuning unless the
+    layout frees it.  A fixed detuning is eigendecomposed once, here; a free
+    one once per distinct value in each block, in one batched ``eigh``.
     """
-    n = layout.count
-    if len(template) != n:
-        raise ValueError(f"layout has {n} pulses but the template has {len(template)}")
+    ensemble = OffsetEnsemble(()) if ensemble is None else ensemble
     omega = template[0].omega
     delta = None if layout.shared_delta else template[0].delta
     if any(
@@ -291,23 +284,15 @@ def _pulse_objective(
     ):
         raise ValueError("the template's pulses do not share one drive")
     fixed = None if delta is None else drive_eigenpairs(cfg, delta, omega)
-    phase_0 = template[0].phi
 
     def objective(block: np.ndarray) -> np.ndarray:
-        block = np.asarray(block, dtype=float)
-        durations = block[:, :n]
-        phases = np.hstack([np.full((len(block), 1), phase_0), block[:, n : 2 * n - 1]])
+        durations, phases, shared = layout.decode(block, template)
         energies, vectors = (
-            drive_eigenpairs(cfg, block[:, -1], omega) if fixed is None else fixed
+            fixed if shared is None else drive_eigenpairs(cfg, shared, omega)
         )
-        if ensemble is not None:
-            return ensemble_losses(
-                cfg.cutoff, energies, vectors, durations, phases, target, ensemble
-            )
-        u = train_product(cfg.cutoff, energies, vectors, durations, phases)
-        # One call per row: the loss observer of bench/tracer.py expects a
-        # scalar from modulus_loss, and the call count is its evaluation count.
-        return np.array([modulus_loss(row, target) for row in u])
+        return ensemble_losses(
+            cfg.cutoff, energies, vectors, durations, phases, target, ensemble
+        )
 
     return objective
 
@@ -359,9 +344,7 @@ def refine(
     )
 
     def jac(x: np.ndarray) -> np.ndarray:
-        return finite_difference_gradient(
-            tracked, x, rcfg.gradient_step, lower, upper
-        )
+        return finite_difference_gradient(tracked, x, _GRADIENT_STEP, lower, upper)
 
     minimize(
         lambda x: tracked(x[None, :])[0],
@@ -410,7 +393,7 @@ def design_pulse(
     spent so far: each stage's trace is shifted by the evaluations of the
     stages before it.
     Every stage minimizes the same objective: ``robust_loss`` over
-    ``ensemble`` when one is given, the nominal modulus loss otherwise.
+    ``ensemble``, which defaults to the nominal pulse alone.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")

@@ -311,6 +311,24 @@ class ParamLayout:
             values.append(cp[0].delta)
         return np.array(values)
 
+    def decode(
+        self, block: np.ndarray, template: CompositePulse
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Split a (P, dim) block of vectors into the fields of P trains: (P, n)
+        durations, (P, n) phases with the template's first phase in column 0,
+        and (P,) shared detunings, or None when the template's detunings stay.
+        """
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != self.dim:
+            raise ValueError(
+                f"expected vectors of length {self.dim}, got shape {block.shape}"
+            )
+        self._check_train(template)
+        n = self.count
+        first = np.full((len(block), 1), template[0].phi)
+        phases = np.hstack([first, block[:, n : 2 * n - 1]])
+        return block[:, :n], phases, block[:, -1] if self.shared_delta else None
+
     def unpack(self, vector: np.ndarray, template: CompositePulse) -> CompositePulse:
         """Write a parameter vector into a copy of ``template``."""
         vector = np.asarray(vector, dtype=float)
@@ -318,15 +336,12 @@ class ParamLayout:
             raise ValueError(
                 f"expected vector of length {self.dim}, got shape {vector.shape}"
             )
-        self._check_train(template)
-        values = vector.tolist()
-        n = self.count
-        phis = [template[0].phi] + values[n : 2 * n - 1]
-        deltas = [values[-1]] * n if self.shared_delta else [p.delta for p in template]
+        (ts,), (phis,), shared = self.decode(vector[None, :], template)
+        deltas = [p.delta if shared is None else shared.item() for p in template]
         return CompositePulse(
             tuple(
-                PulseParams(delta=delta, omega=p.omega, phi=phi, t=t)
-                for p, delta, phi, t in zip(template.pulses, deltas, phis, values[:n])
+                PulseParams(delta=d, omega=p.omega, phi=phi, t=t)
+                for p, d, phi, t in zip(template, deltas, phis.tolist(), ts.tolist())
             )
         )
 

@@ -9,14 +9,21 @@ and safe to inspect.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
-from pathlib import Path
+import os
 
-import pytest
+# One BLAS thread: the kernels work on small matrices, where thread start-up
+# costs more than it saves.  Set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from fockpulse import (
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import pytest  # noqa: E402
+
+from fockpulse import (  # noqa: E402
     CompositePulse,
     OffsetEnsemble,
     PsoConfig,
@@ -27,6 +34,7 @@ from fockpulse import (
     modulus_loss,
     robust_loss,
 )
+from fockpulse import optimizer  # noqa: E402
 
 CACHE_DIR = Path(__file__).parent / "_cache"
 
@@ -65,8 +73,19 @@ def _design_key(
         "pulse_count": pulse_count,
         "omega": omega,
         "layout": layout_kind,
-        "pso": dataclasses.asdict(pcfg),
-        "refine": dataclasses.asdict(rcfg),
+        # The swarm coefficients and the gradient step are constants of the
+        # optimizer; hashing them keeps the keys of the designs made when they
+        # were config fields, and retires those designs if a constant changes.
+        "pso": {
+            **dataclasses.asdict(pcfg),
+            "inertia": optimizer._INERTIA,
+            "cognitive": optimizer._COGNITIVE,
+            "social": optimizer._SOCIAL,
+        },
+        "refine": {
+            **dataclasses.asdict(rcfg),
+            "gradient_step": optimizer._GRADIENT_STEP,
+        },
         "starts": starts,
         "refine_top": refine_top,
     }

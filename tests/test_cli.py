@@ -287,7 +287,14 @@ def test_robustness_command_writes_sweep(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "block, misspelled", [("system", {"cutof": 3}), ("pso", {"particle": 8})]
+    "block, misspelled",
+    [
+        ("system", {"cutof": 3}),
+        ("pso", {"particle": 8}),
+        # retired knobs: the swarm coefficients and the gradient step are constants
+        ("pso", {"inertia": 0.7}),
+        ("refine", {"gradient_step": 1e-6}),
+    ],
 )
 def test_misspelled_config_key_exits_two(tmp_path, caplog, block, misspelled):
     cfg_path = tmp_path / "run.json"
@@ -315,6 +322,54 @@ def test_non_integer_count_or_seed_exits_two(tmp_path, caplog, block, bad):
     code = main(["--quiet", "design", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == 2
     assert "must be an integer" in caplog.text
+
+
+THERMOMETRY = {
+    "window": [0, 1],
+    "truth_cutoff": 15,
+    "distribution": {"thermal_nbar": 0.5},
+}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("design", {"pulse_count": 3.9}, "pulse_count must be an integer"),
+        ("design", {"starts": 2.7}, "starts must be an integer"),
+        ("design", {"refine_top": True}, "refine_top must be an integer"),
+        ("design", {"loss_threshold": "nan"}, "loss_threshold must be finite"),
+        ("design", {"loss_threshold": float("inf")}, "loss_threshold must be finite"),
+        (
+            "thermometry",
+            {"thermometry": {**THERMOMETRY, "truth_cutoff": 15.5}},
+            "truth_cutoff must be an integer",
+        ),
+        (
+            "thermometry",
+            {"thermometry": {**THERMOMETRY, "window": [0, 1.5]}},
+            "window entry must be an integer",
+        ),
+        (
+            "thermometry",
+            {"thermometry": {**THERMOMETRY, "window": [0, True]}},
+            "window entry must be an integer",
+        ),
+        (
+            "thermometry",
+            {"thermometry": {**THERMOMETRY, "window": 5}},
+            "nonempty 'window' list",
+        ),
+    ],
+)
+def test_non_integer_count_or_non_finite_threshold_exits_two(
+    tmp_path, caplog, command, overrides, message
+):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, **overrides)
+    out = tmp_path / "runs"
+    code = main(["--quiet", command, "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert message in caplog.text
 
 
 def test_design_logs_progress_through_logging(tmp_path, caplog, capsys):

@@ -52,8 +52,6 @@ def test_pso_config_rejects_bad_values():
         PsoConfig(particles=4)
     with pytest.raises(ValueError, match="iterations"):
         PsoConfig(iterations=0)
-    with pytest.raises(ValueError, match="inertia"):
-        PsoConfig(inertia=0.0)
 
 
 @pytest.mark.parametrize(
@@ -75,8 +73,6 @@ def test_configs_reject_non_integer_counts_and_seeds(make, bad):
 def test_refine_config_rejects_bad_values():
     with pytest.raises(ValueError, match="max_iters"):
         RefineConfig(max_iters=0)
-    with pytest.raises(ValueError, match="gradient_step"):
-        RefineConfig(gradient_step=1e-2)
     with pytest.raises(ValueError, match="tolerance"):
         RefineConfig(tolerance=0.0)
 
@@ -152,7 +148,11 @@ def test_robust_objective_pins_the_ensemble_aggregate():
     x = np.array([264.46, 528.91, 264.46, 0.95, 0.0])
     nominal = _pulse_objective(CFG, TEMPLATE, LAYOUT, TARGET)
     alone = _pulse_objective(CFG, TEMPLATE, LAYOUT, TARGET, OffsetEnsemble(()))
-    assert alone(x[None]) == nominal(x[None])
+    # the nominal loss is the stacked modulus loss of the kernel's train, bit for bit
+    stacked = modulus_loss(
+        train_unitaries(CFG, [x[:3]], [[0.0, *x[3:]]], 1.0, 0.1), TARGET
+    )
+    assert nominal(x[None]).tolist() == alone(x[None]).tolist() == stacked.tolist()
 
     # the -300 offset drives every duration below zero, so it is clamped
     specs = (
