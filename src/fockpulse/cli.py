@@ -25,14 +25,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .fockspace import SystemConfig
+from .fockspace import SystemConfig, check_integer
 from .library import PulseLibraryEntry, find_entry, load_entry, save_entry
 from .objective import TargetSpec, excitation_profile, shelving_target, swap_target
 from .optimizer import (
     OptimizationResult,
     PsoConfig,
     RefineConfig,
-    _check_integer,
     design_pulse,
 )
 from .pulses import (
@@ -141,7 +140,7 @@ class RunConfig:
         refine = _config_block(RefineConfig, doc, "refine")
         starts = _integer_key(doc, "starts", 4)
         refine_top = _integer_key(doc, "refine_top", 2)
-        loss_threshold = float(doc.get("loss_threshold", 0.5))
+        loss_threshold = _real("loss_threshold", doc.get("loss_threshold", 0.5))
         if not math.isfinite(loss_threshold):
             raise ValueError(f"loss_threshold must be finite, got {loss_threshold}")
         thermometry = doc.get("thermometry")
@@ -176,8 +175,16 @@ class RunConfig:
 def _integer_key(doc: dict[str, Any], name: str, default: int) -> int:
     """The integer under ``name``; a float, bool or string is bad input."""
     value = doc.get(name, default)
-    _check_integer(name, value)
+    check_integer(name, value)
     return int(value)
+
+
+def _real(name: str, value: Any) -> float:
+    """``value`` as a float; a value ``float()`` cannot take is bad input."""
+    try:
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 def _config_block(cls: type, doc: dict[str, Any], name: str) -> Any:
@@ -190,11 +197,18 @@ def _config_block(cls: type, doc: dict[str, Any], name: str) -> Any:
 
 def parse_distribution(spec: dict[str, Any], cutoff: int) -> PhononDistribution:
     """Distribution from a config block: thermal or explicit populations."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"'distribution' must be an object, got {spec!r}")
     if "thermal_nbar" in spec:
-        return thermal_distribution(float(spec["thermal_nbar"]), cutoff)
+        nbar = _real("thermal_nbar", spec["thermal_nbar"])
+        return thermal_distribution(nbar, cutoff)
     if "populations" in spec:
-        first = int(spec.get("first_fock", 0))
-        values = [float(v) for v in spec["populations"]]
+        first = spec.get("first_fock", 0)
+        check_integer("first_fock", first)
+        values = spec["populations"]
+        if not isinstance(values, list):
+            raise ValueError(f"'populations' must be a list, got {values!r}")
+        values = [_real("population", v) for v in values]
         if first < 0 or first + len(values) > cutoff:
             raise ValueError(
                 f"populations spanning [{first}, {first + len(values)}) do not "
@@ -380,7 +394,7 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
     if not isinstance(window, list) or not window:
         raise ValueError("thermometry config needs a nonempty 'window' list")
     for n in window:
-        _check_integer("window entry", n)
+        check_integer("window entry", n)
     truth_cutoff = _integer_key(block, "truth_cutoff", 100)
     cfg_truth = dataclasses.replace(
         rc.system, cutoff=truth_cutoff, fock_offset=0

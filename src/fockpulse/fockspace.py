@@ -12,12 +12,14 @@ so ``nu`` defaults to 1 and detunings/Rabi rates are in units of ``nu``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
+    "check_integer",
     "SystemConfig",
     "ladder_operators",
     "number_operator",
@@ -29,6 +31,12 @@ __all__ = [
 
 # Hermiticity tolerance for propagate(), relative to the largest entry.
 _HERMITICITY_RTOL = 1e-9
+
+
+def check_integer(name: str, value: object) -> None:
+    """Raise ValueError unless ``value`` is an integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,8 @@ class SystemConfig:
     fock_offset: int = 0
 
     def __post_init__(self) -> None:
+        check_integer("cutoff", self.cutoff)
+        check_integer("fock_offset", self.fock_offset)
         if not self.cutoff >= 2:
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
         if self.fock_offset < 0:

@@ -30,14 +30,13 @@ best loss every ``_LOG_EVERY`` iterations, and each refinement's result.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .fockspace import SystemConfig
+from .fockspace import SystemConfig, check_integer
 from .objective import TargetSpec
 from .objective import modulus_loss  # noqa: F401  unused, rebound by bench/tracer.py
 from .pulses import (
@@ -73,11 +72,6 @@ _INERTIA, _COGNITIVE, _SOCIAL = 0.729, 1.49445, 1.49445
 _GRADIENT_STEP = 1e-6
 
 
-def _check_integer(name: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PsoConfig:
     """Swarm settings: population, iteration count and seed."""
@@ -88,7 +82,7 @@ class PsoConfig:
 
     def __post_init__(self) -> None:
         for name in ("particles", "iterations", "seed"):
-            _check_integer(name, getattr(self, name))
+            check_integer(name, getattr(self, name))
         if self.particles < 8:
             raise ValueError(f"particles must be >= 8, got {self.particles}")
         if self.iterations < 1:
@@ -103,7 +97,7 @@ class RefineConfig:
     tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
-        _check_integer("max_iters", self.max_iters)
+        check_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tolerance <= 0:

@@ -6,7 +6,10 @@ excite neighbouring states, so the raw excitation probabilities M mix the
 populations P through a coefficient matrix a built from the pulses' excitation
 profiles: a . P = M.  Solving a . R = M for R undoes that mixing.  The matrix
 is computed on the small design space while M comes from a much larger truth
-space, which is exactly the mismatch the correction is meant to absorb.
+space.  On the window the two spaces give nearly the same profiles, so the
+solve undoes the mixing among the window states and nothing more: population
+outside the window still excites the pulses and adds to M, which the square
+system cannot see, and it remains as the error of the corrected populations.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ class PhononDistribution:
         populations = np.asarray(self.populations, dtype=float)
         if populations.ndim != 1 or populations.size == 0:
             raise ValueError("populations must be a nonempty vector")
+        if not np.all(np.isfinite(populations)):
+            raise ValueError("populations must be finite")
         if np.any(populations < 0):
             raise ValueError("populations must be nonnegative")
         total = populations.sum()
@@ -91,8 +96,8 @@ def thermal_distribution(nbar: float, cutoff: int) -> PhononDistribution:
     P_n proportional to nbar^n / (1 + nbar)^(n+1); renormalized over the
     retained levels so tiny truncation tails do not break the sum rule.
     """
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    if not np.isfinite(nbar) or nbar < 0:
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if nbar == 0:
@@ -236,7 +241,7 @@ def run_thermometry(
 
     ``cfg_truth`` must anchor at Fock 0 and cover the design window; it plays
     the role of reality, so the distribution lives on it.  Passing ``pulses``
-    skips the design stage, which is how cached or published pulses enter.
+    skips the design stage, which is how library or published pulses enter.
     Any failure is re-raised as ThermometryError naming the stage.
     """
     window = [int(n) for n in window]

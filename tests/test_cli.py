@@ -101,6 +101,25 @@ def test_parse_distribution_variants():
         parse_distribution({}, 20)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"populations": [0.5, 0.5], "first_fock": 1.7}, "first_fock must be"),
+        ({"populations": [0.5, 0.5], "first_fock": "1"}, "first_fock must be"),
+        ({"thermal_nbar": "nan"}, "nbar must be finite"),
+        ({"thermal_nbar": float("inf")}, "nbar must be finite"),
+        ({"thermal_nbar": None}, "thermal_nbar must be a number"),
+        ({"populations": [float("nan"), 1.0]}, "populations must be finite"),
+        ({"populations": [0.5, None]}, "population must be a number"),
+        ({"populations": 0.5}, "'populations' must be a list"),
+        (5, "'distribution' must be an object"),
+    ],
+)
+def test_parse_distribution_rejects_bad_values(spec, message):
+    with pytest.raises(ValueError, match=message):
+        parse_distribution(spec, 20)
+
+
 def test_design_command_round_trip(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path)
@@ -358,6 +377,27 @@ THERMOMETRY = {
             "thermometry",
             {"thermometry": {**THERMOMETRY, "window": 5}},
             "nonempty 'window' list",
+        ),
+        ("design", {"system": {"cutoff": 3.5}}, "cutoff must be an integer"),
+        (
+            "design",
+            {"system": {"cutoff": 3, "fock_offset": 1.5}},
+            "fock_offset must be an integer",
+        ),
+        (
+            "thermometry",
+            {"thermometry": {**THERMOMETRY, "distribution": 5}},
+            "'distribution' must be an object",
+        ),
+        (
+            "thermometry",
+            {"thermometry": {**THERMOMETRY, "distribution": {"populations": 0.5}}},
+            "'populations' must be a list",
+        ),
+        (
+            "thermometry",
+            {"thermometry": {**THERMOMETRY, "distribution": {"thermal_nbar": "nan"}}},
+            "nbar must be finite",
         ),
     ],
 )

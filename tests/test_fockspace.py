@@ -57,6 +57,14 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="fock_offset"):
             SystemConfig(fock_offset=-1)
 
+    @pytest.mark.parametrize(
+        "field, value", [("cutoff", 3.5), ("fock_offset", 1.5), ("fock_offset", True)]
+    )
+    def test_non_integer_size_or_offset(self, field, value):
+        # A fractional offset would put the ladder at sqrt(1.5 + j).
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SystemConfig(**{field: value})
+
     def test_fock_indices_with_offset(self):
         cfg = SystemConfig(cutoff=12, fock_offset=24)
         assert cfg.fock_indices().tolist() == list(range(24, 36))

@@ -38,6 +38,10 @@ def test_distribution_validates_and_renormalizes():
         PhononDistribution(populations=np.array([0.5, 0.4]))
     with pytest.raises(ValueError, match="nonempty"):
         PhononDistribution(populations=np.array([]))
+    # NaN passes both the sign and the sum check unless rejected first.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PhononDistribution(populations=np.array([bad, 1.0]))
 
 
 def test_thermal_distribution_matches_geometric_form():
@@ -63,6 +67,9 @@ def test_thermal_distribution_edge_cases():
         thermal_distribution(-0.1, 10)
     with pytest.raises(ValueError, match="cutoff"):
         thermal_distribution(1.0, 0)
+    for nbar in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="nbar must be finite"):
+            thermal_distribution(nbar, 10)
 
 
 def test_profiles_to_coefficients_selects_window_columns():
