@@ -48,6 +48,7 @@ from .pulses import (
     analytic_swap_parameters,
     composite_unitary,
     strong_drive_layout,
+    train_states,
     train_unitaries,
     uniform_pulse_train,
     weak_drive_layout,
@@ -87,6 +88,7 @@ __all__ = [
     "CompositePulse",
     "ParamLayout",
     "composite_unitary",
+    "train_states",
     "train_unitaries",
     "analytic_swap_parameters",
     "uniform_pulse_train",

@@ -12,6 +12,7 @@ so ``nu`` defaults to 1 and detunings/Rabi rates are in units of ``nu``.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "check_integer",
+    "check_real",
     "SystemConfig",
     "ladder_operators",
     "number_operator",
@@ -37,6 +39,17 @@ def check_integer(name: str, value: object) -> None:
     """Raise ValueError unless ``value`` is an integer (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value: object) -> None:
+    """Raise ValueError unless ``value`` is a finite real number (a bool or a
+    string is not one)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,10 +81,10 @@ class SystemConfig:
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
         if self.fock_offset < 0:
             raise ValueError(f"fock_offset must be >= 0, got {self.fock_offset}")
-        if not np.isfinite(self.eta) or self.eta < 0:
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
-        if not np.isfinite(self.nu):
-            raise ValueError(f"nu must be finite, got {self.nu}")
+        check_real("eta", self.eta)
+        check_real("nu", self.nu)
+        if self.eta < 0:
+            raise ValueError(f"eta must be >= 0, got {self.eta}")
 
     @property
     def dim(self) -> int:

@@ -12,7 +12,8 @@ with Z = diag(1_g, e^{i phi} 1_e), so one eigendecomposition per drive
 (delta, omega) gives the propagator of every pulse at any phase and duration,
 exp(-i H t) = Z V e^{-i w t} V^dagger Z^dagger.  Each row of a batch is
 computed independently of the others, so a row's result does not depend on
-the batch it sits in.
+the batch it sits in.  ``train_states`` is the column form: it applies the
+same factors to a block of state vectors instead of building matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .fockspace import SystemConfig, build_hamiltonian, propagate
+from .fockspace import SystemConfig, build_hamiltonian, check_real, propagate
 
 __all__ = [
     "PulseParams",
@@ -32,6 +33,7 @@ __all__ = [
     "composite_unitary",
     "drive_eigenpairs",
     "train_product",
+    "train_states",
     "train_unitaries",
     "shared_drive",
     "analytic_swap_parameters",
@@ -63,9 +65,7 @@ class PulseParams:
 
     def __post_init__(self) -> None:
         for name in ("delta", "omega", "phi", "t"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            check_real(name, getattr(self, name))
         if self.t < 0:
             raise ValueError(f"duration must be >= 0, got {self.t}")
 
@@ -213,6 +213,52 @@ def train_unitaries(
     """
     energies, vectors = drive_eigenpairs(cfg, delta, omega)
     return train_product(cfg.cutoff, energies, vectors, durations, phases)
+
+
+def train_states(
+    cfg: SystemConfig, trains: Sequence[CompositePulse], states: np.ndarray
+) -> np.ndarray:
+    """(B, dim, k) states that each of B trains makes of the (dim, k) block
+    ``states``; row b equals ``composite_unitary(cfg, trains[b]) @ states``
+    up to rounding.
+
+    Every pulse acts on the block as Z V e^{-i w t} V^dagger Z^dagger, where
+    Z only scales the excited rows by e^{+-i phi}.  The eigenpairs of a drive
+    (delta, omega) are kept while consecutive pulses share it, within a train
+    and across trains, and dropped when the drive changes: B trains of one
+    drive take one ``eigh``, and trains that mix drives take one per change.
+    """
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or states.shape[0] != cfg.dim:
+        raise ValueError(
+            f"states must be a ({cfg.dim}, k) block, got shape {states.shape}"
+        )
+    c = cfg.cutoff
+    out = np.empty((len(trains),) + states.shape, dtype=complex)
+    drive = None
+    for b, cp in enumerate(trains):
+        block = states
+        for p in cp:
+            if (p.delta, p.omega) != drive:
+                drive = (p.delta, p.omega)
+                energies = vectors = None  # free the last drive's pair first
+                energies, vectors = drive_eigenpairs(cfg, p.delta, p.omega)
+            rotation = np.exp(1j * p.phi)
+            # V^dagger Z^dagger block is the conjugate transpose of
+            # (Z^dagger block)^dagger V, which needs no conjugated copy of V.
+            # Temporaries are updated in place and freed early: at dim 200
+            # each is a few hundred kB, and they set the peak memory.
+            conj_in = block.conj()
+            conj_in[c:] *= rotation
+            amplitudes = conj_in.T @ vectors
+            del conj_in
+            amplitudes = np.conjugate(amplitudes, out=amplitudes).T
+            amplitudes *= np.exp(-1j * energies * p.t)[:, None]
+            block = vectors @ amplitudes
+            del amplitudes
+            block[c:] *= rotation
+        out[b] = block
+    return out
 
 
 def analytic_swap_parameters(eta: float, omega: float) -> CompositePulse:

@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .fockspace import SystemConfig
+from .fockspace import SystemConfig, check_integer
 from .objective import excitation_profile, shelving_target
 from .optimizer import OptimizationResult, PsoConfig, RefineConfig, design_pulse
-from .pulses import CompositePulse, ParamLayout, composite_unitary
+from .pulses import CompositePulse, ParamLayout, composite_unitary, train_states
 
 __all__ = [
     "PhononDistribution",
@@ -98,6 +98,7 @@ def thermal_distribution(nbar: float, cutoff: int) -> PhononDistribution:
     """
     if not np.isfinite(nbar) or nbar < 0:
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    check_integer("cutoff", cutoff)
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if nbar == 0:
@@ -148,6 +149,15 @@ def coefficient_matrix(
     return profiles_to_coefficients(profiles, window, cfg.fock_offset)
 
 
+def _check_truth(cfg_truth: SystemConfig, dist: PhononDistribution) -> None:
+    """Raise ValueError unless ``dist`` has one entry per truth-space level."""
+    if len(dist) != cfg_truth.cutoff:
+        raise ValueError(
+            f"distribution has {len(dist)} entries but the truth space "
+            f"retains {cfg_truth.cutoff} levels"
+        )
+
+
 def simulate_measurements(
     cfg_big: SystemConfig,
     pulses: Sequence[CompositePulse],
@@ -157,18 +167,17 @@ def simulate_measurements(
 
     Evaluated on the large truth space: M_m is the full excitation profile of
     pulse m contracted with the population vector, so it includes excitation
-    routes absent from the small design space.
+    routes absent from the small design space.  The readout only sees the
+    columns U|g, n>, so the pulses propagate the ``cutoff`` ground-input
+    columns through ``train_states`` instead of building whole propagators;
+    consecutive pulses that share a drive (delta, omega), within a train or
+    across trains, share one eigendecomposition.
     """
-    if len(dist) != cfg_big.cutoff:
-        raise ValueError(
-            f"distribution has {len(dist)} entries but the truth space "
-            f"retains {cfg_big.cutoff} levels"
-        )
-    rows = []
-    for cp in pulses:
-        profile = excitation_profile(composite_unitary(cfg_big, cp))
-        rows.append(float(profile @ dist.populations))
-    return np.array(rows)
+    _check_truth(cfg_big, dist)
+    c = cfg_big.cutoff
+    states = train_states(cfg_big, pulses, np.eye(cfg_big.dim, c))
+    profiles = np.sum(np.abs(states[:, c:, :]) ** 2, axis=1)
+    return profiles @ dist.populations
 
 
 def correct_populations(
@@ -239,16 +248,25 @@ def run_thermometry(
 ) -> ThermometryResult:
     """Design (or reuse) one shelving pulse per window state, measure, correct.
 
-    ``cfg_truth`` must anchor at Fock 0 and cover the design window; it plays
-    the role of reality, so the distribution lives on it.  Passing ``pulses``
-    skips the design stage, which is how library or published pulses enter.
-    Any failure is re-raised as ThermometryError naming the stage.
+    ``cfg_truth`` must anchor at Fock 0 and cover the window; it plays the
+    role of reality, so the distribution lives on it, one entry per truth
+    level.  Those conditions raise ValueError before the design stage.
+    Passing ``pulses`` skips the design stage, which is how library or
+    published pulses enter.  Any failure of a stage is re-raised as
+    ThermometryError naming the stage.
     """
     window = [int(n) for n in window]
     if len(window) != len(set(window)):
         raise ValueError(f"window states must be distinct, got {window}")
     if cfg_truth.fock_offset != 0:
         raise ValueError("truth space must start at Fock index 0")
+    _check_truth(cfg_truth, dist)
+    outside = [n for n in window if not 0 <= n < cfg_truth.cutoff]
+    if outside:
+        raise ValueError(
+            f"window states {outside} lie outside the truth space "
+            f"[0, {cfg_truth.cutoff})"
+        )
 
     design_losses: list[float] = []
     if pulses is None:

@@ -65,6 +65,14 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SystemConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("eta", "0.1"), ("nu", "1"), ("eta", None), ("nu", True), ("eta", np.nan)],
+    )
+    def test_non_numeric_or_non_finite_coupling(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            SystemConfig(**{field: value})
+
     def test_fock_indices_with_offset(self):
         cfg = SystemConfig(cutoff=12, fock_offset=24)
         assert cfg.fock_indices().tolist() == list(range(24, 36))

@@ -16,6 +16,7 @@ from fockpulse.pulses import (
     shared_drive,
     strong_drive_layout,
     train_product,
+    train_states,
     train_unitaries,
     uniform_pulse_train,
     weak_drive_layout,
@@ -32,6 +33,13 @@ class TestPulseParams:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PulseParams(delta=np.nan, omega=0.1, phi=0.0, t=1.0)
+
+    @pytest.mark.parametrize("field", ["delta", "omega", "phi", "t"])
+    def test_rejects_non_numeric(self, field):
+        fields = dict(delta=1.0, omega=0.1, phi=0.0, t=1.0)
+        fields[field] = "1"
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            PulseParams(**fields)
 
     def test_canonical_wraps_phase(self):
         p = PulseParams(delta=1.0, omega=0.1, phi=-0.5, t=1.0).canonical()
@@ -298,3 +306,37 @@ class TestTrainUnitaries:
         mixed = CompositePulse(cp.pulses[:2] + (PulseParams(1.0, OMEGA, 0.0, 1.0),))
         with pytest.raises(ValueError, match="share"):
             shared_drive(mixed)
+
+
+class TestTrainStates:
+    """The column kernel against the pulse-by-pulse reference."""
+
+    @pytest.mark.parametrize("fock_offset", [0, 7])
+    def test_matches_composite_unitary_on_a_block(self, fock_offset):
+        cfg = SystemConfig(cutoff=6, fock_offset=fock_offset)
+        rng = np.random.default_rng(fock_offset)
+        trains = [
+            CompositePulse(
+                tuple(
+                    PulseParams(delta=d, omega=o, phi=f, t=t)
+                    for d, o, f, t in zip(
+                        (1.0, 0.7, 0.7, 1.0),
+                        (omega, omega, omega, 1.0),
+                        rng.uniform(0.0, 2 * np.pi, 4),
+                        (rng.uniform(0.0, 300.0), 0.0, *rng.uniform(0.0, 300.0, 2)),
+                    )
+                )
+            )
+            for omega in (OMEGA, 1.0)
+        ]
+        states = rng.normal(size=(cfg.dim, 3)) + 1j * rng.normal(size=(cfg.dim, 3))
+        out = train_states(cfg, trains, states)
+        assert out.shape == (2, cfg.dim, 3)
+        for b, cp in enumerate(trains):
+            ref, bar = TestTrainUnitaries.reference(cfg, cp)
+            assert np.abs(out[b] - ref @ states).max() <= bar * np.abs(states).max()
+
+    def test_rejects_a_block_of_the_wrong_size(self):
+        cfg = SystemConfig(cutoff=3)
+        with pytest.raises(ValueError, match="states"):
+            train_states(cfg, [uniform_pulse_train(2, delta=1.0, omega=OMEGA)], np.eye(5))

@@ -12,6 +12,7 @@ from fockpulse import (
     RefineConfig,
     SystemConfig,
     ThermometryError,
+    build_hamiltonian,
     coefficient_matrix,
     composite_unitary,
     correct_populations,
@@ -20,6 +21,7 @@ from fockpulse import (
     run_thermometry,
     simulate_measurements,
     thermal_distribution,
+    thermometry,
     uniform_pulse_train,
     weak_drive_layout,
 )
@@ -67,6 +69,9 @@ def test_thermal_distribution_edge_cases():
         thermal_distribution(-0.1, 10)
     with pytest.raises(ValueError, match="cutoff"):
         thermal_distribution(1.0, 0)
+    for cutoff in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            thermal_distribution(1.0, cutoff)
     for nbar in (np.nan, np.inf):
         with pytest.raises(ValueError, match="nbar must be finite"):
             thermal_distribution(nbar, 10)
@@ -107,6 +112,68 @@ def test_simulate_measurements_zero_drive_measures_nothing():
     measured = simulate_measurements(cfg, [quiet], thermal_distribution(1.0, 6))
     assert measured.shape == (1,)
     assert measured[0] == pytest.approx(0.0, abs=1e-15)
+
+
+def _train(*pulses: tuple[float, float, float, float]) -> CompositePulse:
+    return CompositePulse(tuple(PulseParams(*p) for p in pulses))
+
+
+# (delta, omega, phi, t) per pulse: two detunings inside one train, two Rabi
+# rates across trains, and a zero-length pulse.
+MIXED_TRAINS = [
+    _train((1.0, 0.1, 0.0, 180.0), (0.8, 0.1, 1.3, 95.0), (1.0, 0.1, 2.9, 140.0)),
+    _train((1.0, 0.1, 0.0, 60.0), (1.0, 0.1, 0.4, 0.0), (1.0, 0.1, 4.1, 210.0)),
+    _train((1.4, 1.0, 0.0, 7.5), (1.4, 1.0, 5.2, 12.0)),
+]
+
+
+@pytest.mark.parametrize("fock_offset", [0, 7])
+def test_simulate_measurements_matches_reference_profiles(fock_offset):
+    cfg = SystemConfig(cutoff=12, fock_offset=fock_offset)
+    dist = thermal_distribution(2.0, cfg.cutoff)
+    measured = simulate_measurements(cfg, MIXED_TRAINS, dist)
+    assert measured.shape == (len(MIXED_TRAINS),)
+    for m, cp in zip(measured, MIXED_TRAINS):
+        # 1e-12 per unit of duration x spectral radius, per matrix dimension
+        horizon = sum(
+            p.t
+            * np.abs(build_hamiltonian(cfg, delta=p.delta, omega=p.omega, phi=p.phi))
+            .sum(axis=1)
+            .max()
+            for p in cp
+        )
+        expected = excitation_profile(composite_unitary(cfg, cp)) @ dist.populations
+        assert abs(m - expected) <= 1e-12 * max(1.0, horizon) * cfg.dim
+
+
+def _count_eigh(monkeypatch) -> list[int]:
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_simulate_measurements_takes_one_eigh_per_drive(monkeypatch):
+    cfg = SystemConfig(cutoff=8)
+    dist = thermal_distribution(1.0, 8)
+    shared = _probe_pulses(4)  # every pulse at delta 1, omega 0.1
+    simulate_measurements(cfg, shared, dist)  # fills the cached displacement
+    calls = _count_eigh(monkeypatch)
+    simulate_measurements(cfg, shared, dist)
+    assert calls == [cfg.dim]
+
+    own = [
+        _train((delta, 1.0, 0.0, 9.0), (delta, 1.0, 0.8, 5.0))
+        for delta in (0.5, 1.0, 1.5, 2.0)
+    ]
+    calls.clear()
+    simulate_measurements(cfg, own, dist)
+    assert calls == [cfg.dim] * len(own)
 
 
 def test_correct_populations_identity_returns_measured():
@@ -220,6 +287,42 @@ def test_run_thermometry_validates_inputs():
             pcfg,
             rcfg,
             pulses=_probe_pulses(2),
+        )
+
+
+def test_run_thermometry_checks_the_truth_space_before_designing(monkeypatch):
+    cfg_design = SystemConfig(cutoff=4, fock_offset=5)
+    cfg_truth = SystemConfig(cutoff=5)
+    layout = weak_drive_layout(2, eta=cfg_design.eta, omega=0.1)
+    template = uniform_pulse_train(2, delta=1.0, omega=0.1)
+    pcfg = PsoConfig(particles=8, iterations=1)
+    rcfg = RefineConfig(max_iters=1)
+
+    def no_design(*args, **kwargs):
+        raise AssertionError("the design stage ran")
+
+    monkeypatch.setattr(thermometry, "design_pulse", no_design)
+    with pytest.raises(ValueError, match="outside the truth space"):
+        run_thermometry(
+            cfg_design,
+            cfg_truth,
+            [7],
+            thermal_distribution(1.0, 5),
+            template,
+            layout,
+            pcfg,
+            rcfg,
+        )
+    with pytest.raises(ValueError, match="truth space retains 5 levels"):
+        run_thermometry(
+            cfg_design,
+            cfg_truth,
+            [0],
+            thermal_distribution(1.0, 6),
+            template,
+            layout,
+            pcfg,
+            rcfg,
         )
 
 
