@@ -25,7 +25,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .fockspace import SystemConfig, check_integer
+from .fockspace import SystemConfig, check_integer, check_real
 from .library import PulseLibraryEntry, find_entry, load_entry, save_entry
 from .objective import TargetSpec, excitation_profile, shelving_target, swap_target
 from .optimizer import (
@@ -140,9 +140,8 @@ class RunConfig:
         refine = _config_block(RefineConfig, doc, "refine")
         starts = _integer_key(doc, "starts", 4)
         refine_top = _integer_key(doc, "refine_top", 2)
-        loss_threshold = _real("loss_threshold", doc.get("loss_threshold", 0.5))
-        if not math.isfinite(loss_threshold):
-            raise ValueError(f"loss_threshold must be finite, got {loss_threshold}")
+        loss_threshold = doc.get("loss_threshold", 0.5)
+        check_real("loss_threshold", loss_threshold)
         thermometry = doc.get("thermometry")
         if thermometry is not None and not isinstance(thermometry, dict):
             raise ValueError("'thermometry' must be an object")
@@ -155,7 +154,7 @@ class RunConfig:
             refine=refine,
             starts=starts,
             refine_top=refine_top,
-            loss_threshold=loss_threshold,
+            loss_threshold=float(loss_threshold),
             thermometry=thermometry,
         )
 
@@ -179,14 +178,6 @@ def _integer_key(doc: dict[str, Any], name: str, default: int) -> int:
     return int(value)
 
 
-def _real(name: str, value: Any) -> float:
-    """``value`` as a float; a value ``float()`` cannot take is bad input."""
-    try:
-        return float(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-
-
 def _config_block(cls: type, doc: dict[str, Any], name: str) -> Any:
     """Build ``cls`` from the config's ``name`` block; a bad key is bad input."""
     try:
@@ -200,7 +191,8 @@ def parse_distribution(spec: dict[str, Any], cutoff: int) -> PhononDistribution:
     if not isinstance(spec, dict):
         raise ValueError(f"'distribution' must be an object, got {spec!r}")
     if "thermal_nbar" in spec:
-        nbar = _real("thermal_nbar", spec["thermal_nbar"])
+        nbar = spec["thermal_nbar"]
+        check_real("thermal_nbar", nbar)
         return thermal_distribution(nbar, cutoff)
     if "populations" in spec:
         first = spec.get("first_fock", 0)
@@ -208,7 +200,8 @@ def parse_distribution(spec: dict[str, Any], cutoff: int) -> PhononDistribution:
         values = spec["populations"]
         if not isinstance(values, list):
             raise ValueError(f"'populations' must be a list, got {values!r}")
-        values = [_real("population", v) for v in values]
+        for value in values:
+            check_real("population", value)
         if first < 0 or first + len(values) > cutoff:
             raise ValueError(
                 f"populations spanning [{first}, {first + len(values)}) do not "

@@ -24,11 +24,9 @@ __all__ = [
     "check_real",
     "SystemConfig",
     "ladder_operators",
-    "number_operator",
     "displacement_exponential",
     "build_hamiltonian",
     "propagate",
-    "ideal_sideband_propagator",
 ]
 
 # Hermiticity tolerance for propagate(), relative to the largest entry.
@@ -44,12 +42,10 @@ def check_integer(name: str, value: object) -> None:
 def check_real(name: str, value: object) -> None:
     """Raise ValueError unless ``value`` is a finite real number (a bool or a
     string is not one)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-    ):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,11 +114,6 @@ def ladder_operators(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     return _ladder(cfg.cutoff, cfg.fock_offset)
 
 
-def number_operator(cfg: SystemConfig) -> np.ndarray:
-    """Diagonal occupation-number operator with absolute Fock indices."""
-    return np.diag(cfg.fock_indices().astype(float))
-
-
 def _expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i * h * t) of a Hermitian h through its eigendecomposition."""
     vals, vecs = np.linalg.eigh(h)
@@ -130,23 +121,19 @@ def _expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _displacement(eta: float, cutoff: int, fock_offset: int, sign: int) -> np.ndarray:
+def _displacement(eta: float, cutoff: int, fock_offset: int) -> np.ndarray:
     raising, lowering = _ladder(cutoff, fock_offset)
-    out = _expm_hermitian(eta * (raising + lowering), float(sign))
+    out = _expm_hermitian(eta * (raising + lowering), 1.0)
     out.flags.writeable = False
     return out
 
 
-def displacement_exponential(cfg: SystemConfig, sign: int = 1) -> np.ndarray:
-    """Unitary exp(sign * (-i) * eta * (a_dag + a)) on the mode levels.
-
-    ``sign=+1`` gives the factor that dresses the |e><g| drive term;
-    ``sign=-1`` gives its conjugate.  Results are cached per configuration, so
+def displacement_exponential(cfg: SystemConfig) -> np.ndarray:
+    """Unitary exp(-i * eta * (a_dag + a)) on the mode levels: the factor that
+    dresses the |e><g| drive term.  Results are cached per configuration, so
     the returned array is read-only.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return _displacement(cfg.eta, cfg.cutoff, cfg.fock_offset, sign)
+    return _displacement(cfg.eta, cfg.cutoff, cfg.fock_offset)
 
 
 def build_hamiltonian(
@@ -174,7 +161,7 @@ def build_hamiltonian(
     mode_energy = cfg.nu * cfg.fock_indices().astype(float)
     h[np.arange(c), np.arange(c)] = mode_energy
     h[np.arange(c, 2 * c), np.arange(c, 2 * c)] = mode_energy - delta
-    coupling = 0.5 * omega * np.exp(1j * phi) * displacement_exponential(cfg, 1)
+    coupling = 0.5 * omega * np.exp(1j * phi) * displacement_exponential(cfg)
     h[c:, :c] = coupling
     h[:c, c:] = coupling.conj().T
     return h
@@ -196,20 +183,3 @@ def propagate(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
             f"hamiltonian is not Hermitian: max asymmetry {herm_err:.3e}"
         )
     return _expm_hermitian(hamiltonian, duration)
-
-
-def ideal_sideband_propagator(
-    cfg: SystemConfig, theta: float, phi: float = 0.0
-) -> np.ndarray:
-    """Reference blue-sideband rotation without off-resonant terms.
-
-    Returns exp(i * (theta/2) * (e^{i phi} sigma+ a_dag + e^{-i phi} sigma- a)),
-    the textbook sideband unitary a composite pulse tries to emulate.  On the
-    |g, n> <-> |e, n+1> pair this is a rotation by theta * sqrt(n + 1).
-    """
-    c = cfg.cutoff
-    raising, _ = ladder_operators(cfg)
-    gen = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    gen[c:, :c] = 0.5 * theta * np.exp(1j * phi) * raising
-    gen[:c, c:] = gen[c:, :c].conj().T
-    return _expm_hermitian(gen, -1.0)

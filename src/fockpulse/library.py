@@ -24,7 +24,6 @@ __all__ = [
     "save_entry",
     "load_entry",
     "find_entry",
-    "list_entries",
 ]
 
 _SCHEMA_VERSION = 1
@@ -128,10 +127,3 @@ def find_entry(library_dir: Path | str, key: str) -> Path:
             + ", ".join(p.stem for p in matches)
         )
     return matches[0]
-
-
-def list_entries(library_dir: Path | str) -> list[PulseLibraryEntry]:
-    library_dir = Path(library_dir)
-    if not library_dir.is_dir():
-        return []
-    return [load_entry(p) for p in sorted(library_dir.glob("*.json"))]

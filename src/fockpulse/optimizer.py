@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .fockspace import SystemConfig, check_integer
+from .fockspace import SystemConfig, check_integer, check_real
 from .objective import TargetSpec
 from .objective import modulus_loss  # noqa: F401  unused, rebound by bench/tracer.py
 from .pulses import (
@@ -98,6 +98,7 @@ class RefineConfig:
 
     def __post_init__(self) -> None:
         check_integer("max_iters", self.max_iters)
+        check_real("tolerance", self.tolerance)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tolerance <= 0:

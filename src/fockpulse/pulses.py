@@ -6,14 +6,16 @@ the sequence acts first.  Only parameter *layouts* know which fields an
 optimizer may touch; the pulse objects themselves are plain immutable records.
 
 ``composite_unitary`` builds a train pulse by pulse and is the reference.
-``train_unitaries`` is the batched kernel behind pulse design: the laser phase
-is a diagonal similarity, H(delta, omega, phi) = Z H(delta, omega, 0) Z^dagger
-with Z = diag(1_g, e^{i phi} 1_e), so one eigendecomposition per drive
-(delta, omega) gives the propagator of every pulse at any phase and duration,
-exp(-i H t) = Z V e^{-i w t} V^dagger Z^dagger.  Each row of a batch is
-computed independently of the others, so a row's result does not depend on
-the batch it sits in.  ``train_states`` is the column form: it applies the
-same factors to a block of state vectors instead of building matrices.
+The batched kernel behind pulse design rests on the laser phase being a
+diagonal similarity, H(delta, omega, phi) = Z H(delta, omega, 0) Z^dagger
+with Z = diag(1_g, e^{i phi} 1_e): ``drive_eigenpairs`` decomposes
+H(delta, omega, 0) once per drive (delta, omega), and ``train_product``
+turns those eigenpairs into the propagator of every pulse at any phase and
+duration, exp(-i H t) = Z V e^{-i w t} V^dagger Z^dagger, and multiplies
+them into B trains at once.  Each row of a batch is computed independently
+of the others, so a row's result does not depend on the batch it sits in.
+``train_states`` is the column form: it applies the same factors to a block
+of state vectors instead of building matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .fockspace import SystemConfig, build_hamiltonian, check_real, propagate
+from .fockspace import (
+    SystemConfig,
+    build_hamiltonian,
+    check_integer,
+    check_real,
+    propagate,
+)
 
 __all__ = [
     "PulseParams",
@@ -34,7 +42,6 @@ __all__ = [
     "drive_eigenpairs",
     "train_product",
     "train_states",
-    "train_unitaries",
     "shared_drive",
     "analytic_swap_parameters",
     "uniform_pulse_train",
@@ -197,24 +204,6 @@ def train_product(
     return u
 
 
-def train_unitaries(
-    cfg: SystemConfig,
-    durations: np.ndarray,
-    phases: np.ndarray,
-    delta: float | np.ndarray,
-    omega: float,
-) -> np.ndarray:
-    """(B, dim, dim) propagators of B trains of n pulses at one Rabi rate.
-
-    ``durations`` and ``phases`` are (B, n); ``delta`` is one detuning shared
-    by every pulse, or a (B,) array with one detuning per train.  Agrees with
-    ``composite_unitary`` up to rounding, at one ``eigh`` per distinct
-    detuning instead of one per pulse.
-    """
-    energies, vectors = drive_eigenpairs(cfg, delta, omega)
-    return train_product(cfg.cutoff, energies, vectors, durations, phases)
-
-
 def train_states(
     cfg: SystemConfig, trains: Sequence[CompositePulse], states: np.ndarray
 ) -> np.ndarray:
@@ -314,25 +303,19 @@ class ParamLayout:
     shared_delta: bool = False
 
     def __post_init__(self) -> None:
+        check_integer("count", self.count)
+        check_real("duration_bound", self.duration_bound)
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if not (np.isfinite(self.duration_bound) and self.duration_bound > 0):
+        if self.duration_bound <= 0:
             raise ValueError(
-                f"duration bound must be finite and positive, got {self.duration_bound}"
+                f"duration_bound must be positive, got {self.duration_bound}"
             )
 
     @property
     def dim(self) -> int:
         """Length of the packed parameter vector."""
         return 2 * self.count - 1 + int(self.shared_delta)
-
-    def slot_names(self) -> list[str]:
-        """Human-readable name per vector slot, e.g. 't[2]' or 'delta[*]'."""
-        names = [f"t[{k}]" for k in range(self.count)]
-        names += [f"phi[{k}]" for k in range(1, self.count)]
-        if self.shared_delta:
-            names.append("delta[*]")
-        return names
 
     def slot_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) bound arrays aligned with the packed vector."""

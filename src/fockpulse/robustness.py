@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from .fockspace import SystemConfig
+from .fockspace import SystemConfig, check_integer, check_real
 from .objective import TargetSpec, excitation_profile, modulus_loss
 from .pulses import (
     CompositePulse,
@@ -60,14 +60,17 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in ("duration", "phase"):
             raise ValueError(f"axis must be 'duration' or 'phase', got {self.axis!r}")
+        check_real("lower", self.lower)
+        check_real("upper", self.upper)
+        check_integer("points", self.points)
+        if self.which != "all":
+            check_integer("which", self.which)
         if not self.lower <= 0.0 <= self.upper:
             raise ValueError(
                 f"offset range must contain 0, got [{self.lower}, {self.upper}]"
             )
         if self.points < 3:
             raise ValueError(f"points must be >= 3, got {self.points}")
-        if self.which != "all" and not isinstance(self.which, int):
-            raise ValueError(f"which must be 'all' or a pulse index, got {self.which!r}")
 
     def offsets(self) -> np.ndarray:
         return np.linspace(self.lower, self.upper, self.points)
@@ -86,6 +89,7 @@ class TransitionProbe:
     mode: Literal["transfer", "excitation"] = "transfer"
 
     def __post_init__(self) -> None:
+        check_integer("fock", self.fock)
         if self.fock < 0:
             raise ValueError(f"fock must be >= 0, got {self.fock}")
         if self.mode not in ("transfer", "excitation"):
@@ -129,7 +133,9 @@ class OffsetEnsemble:
         weights = (1.0,) * len(specs) if self.weights is None else tuple(self.weights)
         if len(weights) != len(specs):
             raise ValueError(f"got {len(weights)} weights for {len(specs)} specs")
-        if not all(np.isfinite(w) and w > 0 for w in weights):
+        for weight in weights:
+            check_real("weight", weight)
+        if not all(w > 0 for w in weights):
             raise ValueError(f"weights must be positive, got {weights}")
         object.__setattr__(self, "specs", specs)
         object.__setattr__(self, "weights", weights)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fockspace import SystemConfig, check_integer
+from .fockspace import SystemConfig, check_integer, check_real
 from .objective import excitation_profile, shelving_target
 from .optimizer import OptimizationResult, PsoConfig, RefineConfig, design_pulse
 from .pulses import CompositePulse, ParamLayout, composite_unitary, train_states
@@ -96,8 +96,9 @@ def thermal_distribution(nbar: float, cutoff: int) -> PhononDistribution:
     P_n proportional to nbar^n / (1 + nbar)^(n+1); renormalized over the
     retained levels so tiny truncation tails do not break the sum rule.
     """
-    if not np.isfinite(nbar) or nbar < 0:
-        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    check_real("nbar", nbar)
+    if nbar < 0:
+        raise ValueError(f"nbar must be >= 0, got {nbar}")
     check_integer("cutoff", cutoff)
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")

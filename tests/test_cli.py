@@ -106,13 +106,15 @@ def test_parse_distribution_variants():
     [
         ({"populations": [0.5, 0.5], "first_fock": 1.7}, "first_fock must be"),
         ({"populations": [0.5, 0.5], "first_fock": "1"}, "first_fock must be"),
-        ({"thermal_nbar": "nan"}, "nbar must be finite"),
+        ({"thermal_nbar": "nan"}, "thermal_nbar must be a number"),
         ({"thermal_nbar": float("inf")}, "nbar must be finite"),
         ({"thermal_nbar": None}, "thermal_nbar must be a number"),
-        ({"populations": [float("nan"), 1.0]}, "populations must be finite"),
+        ({"populations": [float("nan"), 1.0]}, "population must be finite"),
         ({"populations": [0.5, None]}, "population must be a number"),
         ({"populations": 0.5}, "'populations' must be a list"),
         (5, "'distribution' must be an object"),
+        ({"thermal_nbar": True}, "thermal_nbar must be a number"),
+        ({"populations": [True, False]}, "population must be a number"),
     ],
 )
 def test_parse_distribution_rejects_bad_values(spec, message):
@@ -356,7 +358,7 @@ THERMOMETRY = {
         ("design", {"pulse_count": 3.9}, "pulse_count must be an integer"),
         ("design", {"starts": 2.7}, "starts must be an integer"),
         ("design", {"refine_top": True}, "refine_top must be an integer"),
-        ("design", {"loss_threshold": "nan"}, "loss_threshold must be finite"),
+        ("design", {"loss_threshold": "nan"}, "loss_threshold must be a number"),
         ("design", {"loss_threshold": float("inf")}, "loss_threshold must be finite"),
         (
             "thermometry",
@@ -397,8 +399,10 @@ THERMOMETRY = {
         (
             "thermometry",
             {"thermometry": {**THERMOMETRY, "distribution": {"thermal_nbar": "nan"}}},
-            "nbar must be finite",
+            "nbar must be a number",
         ),
+        ("design", {"loss_threshold": "0.5"}, "loss_threshold must be a number"),
+        ("design", {"loss_threshold": True}, "loss_threshold must be a number"),
     ],
 )
 def test_non_integer_count_or_non_finite_threshold_exits_two(

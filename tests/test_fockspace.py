@@ -8,9 +8,7 @@ from fockpulse.fockspace import (
     SystemConfig,
     build_hamiltonian,
     displacement_exponential,
-    ideal_sideband_propagator,
     ladder_operators,
-    number_operator,
     propagate,
 )
 
@@ -70,7 +68,7 @@ class TestSystemConfig:
         [("eta", "0.1"), ("nu", "1"), ("eta", None), ("nu", True), ("eta", np.nan)],
     )
     def test_non_numeric_or_non_finite_coupling(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        with pytest.raises(ValueError, match=f"{field} must be (a number|finite)"):
             SystemConfig(**{field: value})
 
     def test_fock_indices_with_offset(self):
@@ -106,12 +104,6 @@ class TestLadderOperators:
         # <29| a |30>: relative positions 5 and 6
         assert lowering[5, 6] == pytest.approx(np.sqrt(30.0))
 
-    def test_number_operator_offset(self):
-        cfg = SystemConfig(cutoff=12, fock_offset=24)
-        assert np.array_equal(
-            np.diag(number_operator(cfg)), np.arange(24.0, 36.0)
-        )
-
 
 class TestDisplacementExponential:
     def test_zero_eta_is_identity(self):
@@ -123,20 +115,10 @@ class TestDisplacementExponential:
         d = displacement_exponential(cfg)
         assert abs(d[0, 0] - np.exp(-0.084**2 / 2.0)) < 1e-6
 
-    def test_signs_are_adjoint(self):
-        cfg = SystemConfig(cutoff=8)
-        forward = displacement_exponential(cfg, 1)
-        backward = displacement_exponential(cfg, -1)
-        assert np.allclose(backward, forward.conj().T, atol=1e-13)
-
     def test_unitary(self):
         cfg = SystemConfig(cutoff=10)
         d = displacement_exponential(cfg)
         assert np.abs(d @ d.conj().T - np.eye(10)).max() < 1e-12
-
-    def test_bad_sign(self):
-        with pytest.raises(ValueError, match="sign"):
-            displacement_exponential(SystemConfig(), 2)
 
     def test_laguerre_oracle(self):
         # Stay >= 10 levels below the edge so truncation cannot bite.
@@ -227,31 +209,3 @@ class TestPropagate:
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError, match="duration"):
             propagate(np.eye(2, dtype=complex), -1.0)
-
-
-class TestIdealSidebandPropagator:
-    def test_zero_angle(self):
-        cfg = SystemConfig(cutoff=4)
-        assert np.allclose(ideal_sideband_propagator(cfg, 0.0), np.eye(8), atol=1e-14)
-
-    def test_pi_pulse_on_lowest_rung(self):
-        cfg = SystemConfig(cutoff=4)
-        u = ideal_sideband_propagator(cfg, np.pi, 0.3)
-        assert abs(abs(u[4 + 1, 0]) - 1.0) < 1e-12
-
-    def test_two_level_rung_oracle(self):
-        # each |g,n>,|e,n+1> pair rotates by theta*sqrt(n+1)
-        cfg = SystemConfig(cutoff=5)
-        theta, phi = 0.77, 0.4
-        u = ideal_sideband_propagator(cfg, theta, phi)
-        for n in range(4):
-            half = theta * np.sqrt(n + 1.0) / 2.0
-            assert u[n, n] == pytest.approx(np.cos(half), abs=1e-12)
-            assert u[5 + n + 1, n] == pytest.approx(
-                1j * np.sin(half) * np.exp(1j * phi), abs=1e-12
-            )
-
-    def test_unitary(self):
-        cfg = SystemConfig(cutoff=6)
-        u = ideal_sideband_propagator(cfg, 1.9, 2.2)
-        assert np.abs(u @ u.conj().T - np.eye(12)).max() < 1e-12

@@ -9,7 +9,6 @@ from fockpulse import (
     PulseParams,
     SystemConfig,
     find_entry,
-    list_entries,
     load_entry,
     save_entry,
 )
@@ -107,12 +106,3 @@ def test_load_rejects_wrong_version_and_corruption(tmp_path):
     corrupt.write_text(json.dumps(document))
     with pytest.raises(ValueError, match="corrupt"):
         load_entry(corrupt)
-
-
-def test_list_entries(tmp_path):
-    assert list_entries(tmp_path / "missing") == []
-    save_entry(_entry(), tmp_path)
-    save_entry(_entry(t=222.0), tmp_path)
-    entries = list_entries(tmp_path)
-    assert len(entries) == 2
-    assert {e.target for e in entries} == {"swap(0)"}

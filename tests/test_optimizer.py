@@ -15,6 +15,7 @@ from fockpulse import (
     SystemConfig,
     composite_unitary,
     design_pulse,
+    drive_eigenpairs,
     modulus_loss,
     perturb,
     pso_search,
@@ -23,7 +24,7 @@ from fockpulse import (
     shelving_target,
     strong_drive_layout,
     swap_target,
-    train_unitaries,
+    train_product,
     uniform_pulse_train,
     weak_drive_layout,
 )
@@ -75,6 +76,9 @@ def test_refine_config_rejects_bad_values():
         RefineConfig(max_iters=0)
     with pytest.raises(ValueError, match="tolerance"):
         RefineConfig(tolerance=0.0)
+    for tolerance in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            RefineConfig(tolerance=tolerance)
 
 
 def test_pso_engine_solves_shifted_quadratic():
@@ -149,8 +153,9 @@ def test_robust_objective_pins_the_ensemble_aggregate():
     nominal = _pulse_objective(CFG, TEMPLATE, LAYOUT, TARGET)
     alone = _pulse_objective(CFG, TEMPLATE, LAYOUT, TARGET, OffsetEnsemble(()))
     # the nominal loss is the stacked modulus loss of the kernel's train, bit for bit
+    energies, vectors = drive_eigenpairs(CFG, 1.0, 0.1)
     stacked = modulus_loss(
-        train_unitaries(CFG, [x[:3]], [[0.0, *x[3:]]], 1.0, 0.1), TARGET
+        train_product(CFG.cutoff, energies, vectors, [x[:3]], [[0.0, *x[3:]]]), TARGET
     )
     assert nominal(x[None]).tolist() == alone(x[None]).tolist() == stacked.tolist()
 
@@ -188,8 +193,12 @@ def test_robust_objective_pins_the_ensemble_aggregate():
         [
             weight
             * modulus_loss(
-                train_unitaries(
-                    CFG, [[p.t for p in member]], [[p.phi for p in member]], 1.0, 0.1
+                train_product(
+                    CFG.cutoff,
+                    energies,
+                    vectors,
+                    [[p.t for p in member]],
+                    [[p.phi for p in member]],
                 )[0],
                 TARGET,
             )

@@ -1,0 +1,56 @@
+"""The package exports exactly the names its modules declare public."""
+
+import inspect
+
+import pytest
+
+import fockpulse
+from fockpulse import (
+    fockspace,
+    library,
+    objective,
+    optimizer,
+    pulses,
+    robustness,
+    thermometry,
+)
+
+MODULES = (fockspace, library, objective, optimizer, pulses, robustness, thermometry)
+
+RETIRED = (
+    "train_unitaries",
+    "ideal_sideband_propagator",
+    "number_operator",
+    "list_entries",
+)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_declared_name_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_no_name_is_declared_twice():
+    owners = {}
+    for module in MODULES:
+        for name in module.__all__:
+            owners.setdefault(name, []).append(module.__name__)
+    assert {n: m for n, m in owners.items() if len(m) > 1} == {}
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    union = [name for module in MODULES for name in module.__all__]
+    assert sorted(fockpulse.__all__) == sorted(union)
+    assert all(hasattr(fockpulse, name) for name in fockpulse.__all__)
+
+
+def test_retired_names_are_gone():
+    for name in RETIRED:
+        assert not hasattr(fockpulse, name)
+        assert all(not hasattr(module, name) for module in MODULES)
+    assert not hasattr(pulses.ParamLayout, "slot_names")
+    # the conjugate displacement (the old ``sign=-1``) is no longer offered
+    assert list(inspect.signature(fockspace.displacement_exponential).parameters) == [
+        "cfg"
+    ]

@@ -17,7 +17,6 @@ from fockpulse.pulses import (
     strong_drive_layout,
     train_product,
     train_states,
-    train_unitaries,
     uniform_pulse_train,
     weak_drive_layout,
 )
@@ -38,7 +37,7 @@ class TestPulseParams:
     def test_rejects_non_numeric(self, field):
         fields = dict(delta=1.0, omega=0.1, phi=0.0, t=1.0)
         fields[field] = "1"
-        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
             PulseParams(**fields)
 
     def test_canonical_wraps_phase(self):
@@ -139,7 +138,6 @@ class TestParamLayout:
     def test_strong_dim_and_sharing(self):
         layout = strong_drive_layout(3, eta=ETA, omega=OMEGA)
         assert layout.dim == 6
-        assert layout.slot_names()[-1] == "delta[*]"
         lower, upper = layout.slot_bounds()
         assert lower[-1] == 0.25 and upper[-1] == 2.5
 
@@ -182,14 +180,15 @@ class TestParamLayout:
     def test_rejects_bad_count_and_duration_bound(self):
         with pytest.raises(ValueError, match="count"):
             ParamLayout(0, 10.0)
-        for bound in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match="duration bound"):
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                ParamLayout(count, 10.0)
+        for bound in (0.0, -1.0, np.inf, np.nan, "10"):
+            with pytest.raises(ValueError, match="duration_bound"):
                 ParamLayout(3, bound)
 
     def test_slot_order(self):
         layout = strong_drive_layout(3, eta=ETA, omega=1.0)
-        names = layout.slot_names()
-        assert names == ["t[0]", "t[1]", "t[2]", "phi[1]", "phi[2]", "delta[*]"]
         cp = CompositePulse(
             tuple(
                 PulseParams(delta=1.5, omega=1.0, phi=0.5 * k, t=10.0 + k)
@@ -218,7 +217,8 @@ class TestParamLayout:
 
 
 class TestTrainUnitaries:
-    """The batched kernel against the pulse-by-pulse reference."""
+    """The batched kernel, ``drive_eigenpairs`` then ``train_product``,
+    against the pulse-by-pulse reference."""
 
     @staticmethod
     def reference(cfg, cp):
@@ -252,7 +252,8 @@ class TestTrainUnitaries:
         durations[3:6] = np.maximum(durations[3:6] - 0.5 * upper[0], 0.0)
         phases = np.hstack([np.zeros((12, 1)), rows[:, 4:7]])
         delta = rows[:, -1] if strong else 1.0
-        u = train_unitaries(cfg, durations, phases, delta, omega)
+        energies, vectors = drive_eigenpairs(cfg, delta, omega)
+        u = train_product(cfg.cutoff, energies, vectors, durations, phases)
         assert u.shape == (12, cfg.dim, cfg.dim)
         for b in range(12):
             d = delta[b] if strong else delta
@@ -271,14 +272,17 @@ class TestTrainUnitaries:
         durations = rng.uniform(0.0, 1500.0, (64, 3))
         phases = rng.uniform(0.0, 2 * np.pi, (64, 3))
         deltas = rng.uniform(0.25, 2.5, 64)
-        shared = train_unitaries(cfg, durations, phases, 1.0, OMEGA)
-        per_row = train_unitaries(cfg, durations, phases, deltas, 1.0)
+        weak = drive_eigenpairs(cfg, 1.0, OMEGA)
+        shared = train_product(cfg.cutoff, *weak, durations, phases)
+        per_row = train_product(
+            cfg.cutoff, *drive_eigenpairs(cfg, deltas, 1.0), durations, phases
+        )
         for b in (0, 17, 63):
-            alone = train_unitaries(cfg, durations[b : b + 1], phases[b : b + 1], 1.0, OMEGA)
+            one = durations[b : b + 1], phases[b : b + 1]
+            alone = train_product(cfg.cutoff, *weak, *one)
             assert np.array_equal(alone[0], shared[b])
-            alone = train_unitaries(
-                cfg, durations[b : b + 1], phases[b : b + 1], deltas[b], 1.0
-            )
+            strong = drive_eigenpairs(cfg, deltas[b], 1.0)
+            alone = train_product(cfg.cutoff, *strong, *one)
             assert np.array_equal(alone[0], per_row[b])
 
     def test_eigenpairs_of_a_detuning_batch(self):
@@ -294,9 +298,9 @@ class TestTrainUnitaries:
 
     def test_rejects_mismatched_shapes(self):
         cfg = SystemConfig(cutoff=3)
-        with pytest.raises(ValueError, match="durations"):
-            train_unitaries(cfg, np.ones((2, 3)), np.ones((2, 2)), 1.0, OMEGA)
         w, v = drive_eigenpairs(cfg, 1.0, OMEGA)
+        with pytest.raises(ValueError, match="durations"):
+            train_product(cfg.cutoff, w, v, np.ones((2, 3)), np.ones((2, 2)))
         with pytest.raises(ValueError, match="n >= 1"):
             train_product(cfg.cutoff, w, v, np.ones((2, 0)), np.ones((2, 0)))
 

@@ -35,6 +35,10 @@ def test_spec_validation():
         SweepSpec(axis="phase", lower=0.5, upper=1.0, points=5)
     with pytest.raises(ValueError, match="points"):
         SweepSpec(axis="phase", lower=-1, upper=1, points=2)
+    with pytest.raises(ValueError, match="lower must be finite"):
+        SweepSpec(axis="duration", lower=-np.inf, upper=1, points=5)
+    with pytest.raises(ValueError, match="which must be an integer"):
+        SweepSpec(axis="duration", lower=-1, upper=1, points=5, which=True)
     spec = SweepSpec(axis="duration", lower=-10, upper=10, points=5)
     assert np.allclose(spec.offsets(), [-10, -5, 0, 5, 10])
 
@@ -47,6 +51,8 @@ def test_offset_ensemble_validation_and_members():
         OffsetEnsemble([spec], weights=(1.0, 2.0))
     with pytest.raises(ValueError, match="positive"):
         OffsetEnsemble([spec], weights=(0.0,))
+    with pytest.raises(ValueError, match="weight must be a number"):
+        OffsetEnsemble([spec], weights=("1",))
     assert OffsetEnsemble([spec]).weights == (1.0,)
     members = OffsetEnsemble([spec], weights=(3.0,)).members(TRAIN)
     assert members[0] == (1.0, TRAIN)
@@ -115,6 +121,9 @@ def test_perturb_phase_skips_reference_pulse():
 def test_probe_validation_and_indexing():
     with pytest.raises(ValueError, match="fock"):
         TransitionProbe(fock=-1)
+    for fock in (True, 1.5):
+        with pytest.raises(ValueError, match="fock must be an integer"):
+            TransitionProbe(fock=fock)
     with pytest.raises(ValueError, match="mode"):
         TransitionProbe(mode="population")
 

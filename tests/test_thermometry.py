@@ -75,6 +75,9 @@ def test_thermal_distribution_edge_cases():
     for nbar in (np.nan, np.inf):
         with pytest.raises(ValueError, match="nbar must be finite"):
             thermal_distribution(nbar, 10)
+    for nbar in ("1", None, True):
+        with pytest.raises(ValueError, match="nbar must be a number"):
+            thermal_distribution(nbar, 5)
 
 
 def test_profiles_to_coefficients_selects_window_columns():

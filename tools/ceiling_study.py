@@ -17,13 +17,14 @@ bounds on the true ceiling.  More pulses need not do better: a pulse of zero
 length still switches on under a positive duration offset, so an N-pulse box
 does not hold the fewer-pulse trains' robustness.
 
-The search evaluates the grids with the package's batched kernel
-``train_unitaries``: every pulse shares one Hamiltonian up to the phase, so
-one ``eigh`` serves every member.  Each reported floor is then recomputed
-with ``sweep``, which builds every propagator with ``composite_unitary``, and
-the two must agree to 1e-9.  The report also gives the duration floor over
-whole trap periods only (offsets 2*pi*k, |k| <= 10), where the off-resonant
-carrier ripple is in phase.
+The search builds the members of each grid from the offset arrays of a
+one-spec ``OffsetEnsemble`` and evaluates them with the package's batched
+kernel: every pulse shares one drive, so ``GridFloors`` takes one
+``drive_eigenpairs`` and hands it to ``train_product`` for every candidate.
+Each reported floor is then recomputed with ``sweep``, which builds every
+propagator with ``composite_unitary``, and the two must agree to 1e-9.  The
+report also gives the duration floor over whole trap periods only (offsets
+2*pi*k, |k| <= 10), where the off-resonant carrier ripple is in phase.
 
 Run from the repository root:
 
@@ -32,7 +33,7 @@ Run from the repository root:
 The recorded ``tools/ceiling_study.txt`` joins two runs made in parallel, one
 per mode (``--modes joint`` and ``--modes held``); each took about 18 minutes on
 one core of a two-core x86-64 machine, with an earlier propagator that carried
-only the |g,0> column.  ``train_unitaries`` builds whole 6x6 propagators and
+only the |g,0> column.  The batched kernel builds whole 6x6 propagators and
 makes one evaluation of both grids about four times slower (0.8 ms -> 3.6 ms
 on that machine), so a run now takes over an hour per mode.
 """
@@ -48,13 +49,15 @@ import numpy as np
 from scipy.optimize import differential_evolution, minimize
 
 from fockpulse import (
+    OffsetEnsemble,
     SweepSpec,
     SystemConfig,
     TransitionProbe,
     composite_unitary,
+    drive_eigenpairs,
     perturb,
     sweep,
-    train_unitaries,
+    train_product,
     uniform_pulse_train,
     weak_drive_layout,
 )
@@ -71,26 +74,25 @@ class GridFloors:
     """Both floors of an N-pulse train, batched over all 514 grid members."""
 
     def __init__(self, count: int) -> None:
-        self.count = count
         self.layout = weak_drive_layout(count, eta=CFG.eta, omega=OMEGA)
         self.template = uniform_pulse_train(count, delta=1.0, omega=OMEGA)
-        self.phase_offsets = PHASE_WINDOW.offsets()
-        self.duration_offsets = DURATION_WINDOW.offsets()
-
-    def _transfer(self, t: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """|<e,1|U|g,0>|^2 for member rows of durations ``t`` and phases ``phi``."""
-        u = train_unitaries(CFG, t, phi, 1.0, OMEGA)
-        return np.abs(u[:, CFG.cutoff + 1, 0]) ** 2
+        self.drive = drive_eigenpairs(CFG, 1.0, OMEGA)
+        # (duration, phase) offsets of each grid's members, without row 0:
+        # that is the ensemble's nominal pulse, which ``sweep`` does not sample
+        self.grids = []
+        for spec in (PHASE_WINDOW, DURATION_WINDOW):
+            _, dt, dphi = OffsetEnsemble((spec,)).offsets(count)
+            self.grids.append((dt[1:], dphi[1:]))
 
     def floors(self, x: np.ndarray) -> tuple[float, float]:
-        n = self.count
-        t, phi = x[:n], np.concatenate(([0.0], x[n:]))
-        shifted = phi[None, :] + self.phase_offsets[:, None]
-        shifted[:, 0] = 0.0
-        phase = self._transfer(np.broadcast_to(t, shifted.shape), shifted)
-        stretched = np.maximum(t[None, :] + self.duration_offsets[:, None], 0.0)
-        duration = self._transfer(stretched, np.broadcast_to(phi, stretched.shape))
-        return float(phase.min()), float(duration.min())
+        """(phase floor, duration floor): the least |<e,1|U|g,0>|^2 on each grid."""
+        t, phi, _ = self.layout.decode(x[None, :], self.template)
+        out = []
+        for dt, dphi in self.grids:
+            members = np.maximum(t + dt, 0.0), phi + dphi
+            u = train_product(CFG.cutoff, *self.drive, *members)
+            out.append(float((np.abs(u[:, CFG.cutoff + 1, 0]) ** 2).min()))
+        return out[0], out[1]
 
 
 def _objective(grid: GridFloors, mode: str):
