@@ -23,7 +23,6 @@ __all__ = [
     "check_integer",
     "check_real",
     "SystemConfig",
-    "ladder_operators",
     "displacement_exponential",
     "build_hamiltonian",
     "propagate",
@@ -94,6 +93,12 @@ class SystemConfig:
 
 @lru_cache(maxsize=None)
 def _ladder(cutoff: int, fock_offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (creation, annihilation) on the retained mode levels.
+
+    The matrices are real, act on the mode factor only, and are truncated:
+    the top level is annihilated by the creation operator, so the canonical
+    commutator holds everywhere except the final diagonal entry.
+    """
     lowering = np.zeros((cutoff, cutoff))
     for j in range(1, cutoff):
         # <n-1| a |n> = sqrt(n) with n the absolute Fock index.
@@ -102,16 +107,6 @@ def _ladder(cutoff: int, fock_offset: int) -> tuple[np.ndarray, np.ndarray]:
     lowering.flags.writeable = False
     raising.flags.writeable = False
     return raising, lowering
-
-
-def ladder_operators(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Return (creation, annihilation) on the retained mode levels.
-
-    The matrices are real, act on the mode factor only, and are truncated:
-    the top level is annihilated by the creation operator, so the canonical
-    commutator holds everywhere except the final diagonal entry.
-    """
-    return _ladder(cfg.cutoff, cfg.fock_offset)
 
 
 def _expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:

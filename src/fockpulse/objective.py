@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fockspace import check_integer
+
 __all__ = [
     "TargetSpec",
     "swap_target",
@@ -55,6 +57,8 @@ def swap_target(cutoff: int, fock: int = 0) -> TargetSpec:
     Every entry is compared, so solutions must also keep all spectator states
     in place (up to phases).
     """
+    check_integer("cutoff", cutoff)
+    check_integer("fock", fock)
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     if not 0 <= fock < cutoff - 1:
@@ -79,6 +83,8 @@ def shelving_target(cutoff: int, fock: int) -> TargetSpec:
     unit magnitude except the shelved state's entry, which must vanish.  Where
     the shelved population goes inside the excited manifold is not pinned.
     """
+    check_integer("cutoff", cutoff)
+    check_integer("fock", fock)
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     if not 0 <= fock < cutoff:

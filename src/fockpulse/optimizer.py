@@ -87,6 +87,8 @@ class PsoConfig:
             raise ValueError(f"particles must be >= 8, got {self.particles}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ The batched kernel behind pulse design rests on the laser phase being a
 diagonal similarity, H(delta, omega, phi) = Z H(delta, omega, 0) Z^dagger
 with Z = diag(1_g, e^{i phi} 1_e): ``drive_eigenpairs`` decomposes
 H(delta, omega, 0) once per drive (delta, omega), and ``train_product``
-turns those eigenpairs into the propagator of every pulse at any phase and
-duration, exp(-i H t) = Z V e^{-i w t} V^dagger Z^dagger, and multiplies
-them into B trains at once.  Each row of a batch is computed independently
-of the others, so a row's result does not depend on the batch it sits in.
-``train_states`` is the column form: it applies the same factors to a block
-of state vectors instead of building matrices.
+applies the propagator of every pulse at any phase and duration,
+exp(-i H t) = Z V e^{-i w t} V^dagger Z^dagger, factor by factor to B trains
+at once.  It is the one propagation kernel: given a block of states it
+returns what each train makes of them, which is all the readout and the
+robustness grids need, and otherwise the whole propagators that pulse design
+scores.  Each row of a batch is computed independently of the others, so a
+row's result does not depend on the batch it sits in.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "composite_unitary",
     "drive_eigenpairs",
     "train_product",
-    "train_states",
     "shared_drive",
     "analytic_swap_parameters",
     "uniform_pulse_train",
@@ -171,17 +171,20 @@ def train_product(
     vectors: np.ndarray,
     durations: np.ndarray,
     phases: np.ndarray,
+    states: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(B, dim, dim) train propagators from the eigenpairs of their drive.
+    """(B, dim, k) block that each of B trains makes of the (dim, k) block
+    ``states``, or the (B, dim, dim) train propagators when it is omitted.
 
     ``durations`` and ``phases`` are (B, n), one train per row, first pulse
     in column 0.  ``energies`` and ``vectors`` are the eigenpairs of
     H(delta, omega, 0) shared by all n pulses of a row: shapes (dim,) and
     (dim, dim) for one drive shared by every row, or (B, dim) and
-    (B, dim, dim) for one drive per row.  Pulse k contributes
-    Z V e^{-i w t_k} V^dagger Z^dagger, where conjugation by Z only scales the
-    off-diagonal blocks by e^{+-i phi_k}; the first pulse multiplies from the
-    right, as in ``composite_unitary``.
+    (B, dim, dim) for one drive per row.  Pulse k acts on the running block
+    as Z V e^{-i w t_k} V^dagger Z^dagger, where Z = diag(1_g, e^{i phi_k} 1_e)
+    only scales the excited rows; the first pulse acts first, as in
+    ``composite_unitary``.  Without ``states`` the first pulse's right factor
+    is (Z V)^dagger itself.
     """
     durations = np.asarray(durations, dtype=float)
     phases = np.asarray(phases, dtype=float)
@@ -190,64 +193,31 @@ def train_product(
             f"durations {durations.shape} and phases {phases.shape} must both be "
             "(B, n) with n >= 1"
         )
-    c = cutoff
+    dim = vectors.shape[-1]
     adjoint = np.conj(np.swapaxes(vectors, -1, -2))
-    # (B, n, dim) eigenphase factors and (B, n) phase factors of every pulse
+    # (B, n, dim) eigenphase factors and diagonals of Z of every pulse
     decay = np.exp(-1j * energies[..., None, :] * durations[:, :, None])
-    rotation = np.exp(1j * phases)
-    u = None
-    for k in range(durations.shape[1]):
-        step = (vectors * decay[:, k, None, :]) @ adjoint
-        step[:, c:, :c] *= rotation[:, k, None, None]
-        step[:, :c, c:] *= rotation[:, k, None, None].conj()
-        u = step if u is None else step @ u
-    return u
-
-
-def train_states(
-    cfg: SystemConfig, trains: Sequence[CompositePulse], states: np.ndarray
-) -> np.ndarray:
-    """(B, dim, k) states that each of B trains makes of the (dim, k) block
-    ``states``; row b equals ``composite_unitary(cfg, trains[b]) @ states``
-    up to rounding.
-
-    Every pulse acts on the block as Z V e^{-i w t} V^dagger Z^dagger, where
-    Z only scales the excited rows by e^{+-i phi}.  The eigenpairs of a drive
-    (delta, omega) are kept while consecutive pulses share it, within a train
-    and across trains, and dropped when the drive changes: B trains of one
-    drive take one ``eigh``, and trains that mix drives take one per change.
-    """
-    states = np.asarray(states, dtype=complex)
-    if states.ndim != 2 or states.shape[0] != cfg.dim:
-        raise ValueError(
-            f"states must be a ({cfg.dim}, k) block, got shape {states.shape}"
-        )
-    c = cfg.cutoff
-    out = np.empty((len(trains),) + states.shape, dtype=complex)
-    drive = None
-    for b, cp in enumerate(trains):
-        block = states
-        for p in cp:
-            if (p.delta, p.omega) != drive:
-                drive = (p.delta, p.omega)
-                energies = vectors = None  # free the last drive's pair first
-                energies, vectors = drive_eigenpairs(cfg, p.delta, p.omega)
-            rotation = np.exp(1j * p.phi)
-            # V^dagger Z^dagger block is the conjugate transpose of
-            # (Z^dagger block)^dagger V, which needs no conjugated copy of V.
-            # Temporaries are updated in place and freed early: at dim 200
-            # each is a few hundred kB, and they set the peak memory.
-            conj_in = block.conj()
-            conj_in[c:] *= rotation
-            amplitudes = conj_in.T @ vectors
-            del conj_in
-            amplitudes = np.conjugate(amplitudes, out=amplitudes).T
-            amplitudes *= np.exp(-1j * energies * p.t)[:, None]
-            block = vectors @ amplitudes
-            del amplitudes
-            block[c:] *= rotation
-        out[b] = block
-    return out
+    z = np.ones(durations.shape + (dim,), dtype=complex)
+    z[..., cutoff:] = np.exp(1j * phases)[..., None]
+    if states is None:
+        block = adjoint * z[:, 0, None, :].conj()
+    else:
+        states = np.asarray(states, dtype=complex)
+        if states.ndim != 2 or states.shape[0] != dim:
+            raise ValueError(
+                f"states must be a ({dim}, k) block, got shape {states.shape}"
+            )
+        block = adjoint @ (z[:, 0, :, None].conj() * states)
+    # Z_k of one pulse and Z_{k+1}^dagger of the next scale the rows together
+    hinge = z.copy()
+    hinge[:, :-1] *= z[:, 1:].conj()
+    last = durations.shape[1] - 1
+    for k in range(last + 1):
+        block = vectors @ (decay[:, k, :, None] * block)
+        block *= hinge[:, k, :, None]
+        if k < last:
+            block = adjoint @ block
+    return block
 
 
 def analytic_swap_parameters(eta: float, omega: float) -> CompositePulse:
@@ -280,6 +250,7 @@ def uniform_pulse_train(
     Serves as the fixed-field carrier that a ParamLayout writes optimized
     values into; the initial durations and phases are placeholders.
     """
+    check_integer("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return CompositePulse(

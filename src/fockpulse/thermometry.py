@@ -15,6 +15,7 @@ system cannot see, and it remains as the error of the corrected populations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,13 @@ import numpy as np
 from .fockspace import SystemConfig, check_integer, check_real
 from .objective import excitation_profile, shelving_target
 from .optimizer import OptimizationResult, PsoConfig, RefineConfig, design_pulse
-from .pulses import CompositePulse, ParamLayout, composite_unitary, train_states
+from .pulses import (
+    CompositePulse,
+    ParamLayout,
+    composite_unitary,
+    drive_eigenpairs,
+    train_product,
+)
 
 __all__ = [
     "PhononDistribution",
@@ -67,11 +74,11 @@ class PhononDistribution:
     populations: np.ndarray
 
     def __post_init__(self) -> None:
+        for value in np.ravel(np.asarray(self.populations, dtype=object)):
+            check_real("populations", value)
         populations = np.asarray(self.populations, dtype=float)
         if populations.ndim != 1 or populations.size == 0:
             raise ValueError("populations must be a nonempty vector")
-        if not np.all(np.isfinite(populations)):
-            raise ValueError("populations must be finite")
         if np.any(populations < 0):
             raise ValueError("populations must be nonnegative")
         total = populations.sum()
@@ -169,15 +176,28 @@ def simulate_measurements(
     Evaluated on the large truth space: M_m is the full excitation profile of
     pulse m contracted with the population vector, so it includes excitation
     routes absent from the small design space.  The readout only sees the
-    columns U|g, n>, so the pulses propagate the ``cutoff`` ground-input
-    columns through ``train_states`` instead of building whole propagators;
-    consecutive pulses that share a drive (delta, omega), within a train or
-    across trains, share one eigendecomposition.
+    columns U|g, n>, so each train carries the ``cutoff`` ground-input
+    columns through ``train_product`` instead of building its propagator,
+    one call per run of consecutive pulses that share a drive
+    (delta, omega).  A drive's eigenpairs are kept while the next run, in
+    the same train or the next one, shares it, and freed before the next
+    eigendecomposition.
     """
     _check_truth(cfg_big, dist)
     c = cfg_big.cutoff
-    states = train_states(cfg_big, pulses, np.eye(cfg_big.dim, c))
-    profiles = np.sum(np.abs(states[:, c:, :]) ** 2, axis=1)
+    profiles = np.empty((len(pulses), c))
+    drive = None
+    for m, cp in enumerate(pulses):
+        block = np.eye(cfg_big.dim, c)
+        for run_drive, run in groupby(cp, key=lambda p: (p.delta, p.omega)):
+            if run_drive != drive:
+                drive = run_drive
+                energies = vectors = None  # free the last drive's pair first
+                energies, vectors = drive_eigenpairs(cfg_big, *drive)
+            run = list(run)
+            durations, phases = [[p.t for p in run]], [[p.phi for p in run]]
+            block = train_product(c, energies, vectors, durations, phases, block)[0]
+        profiles[m] = np.sum(np.abs(block[c:]) ** 2, axis=0)
     return profiles @ dist.populations
 
 
@@ -256,6 +276,8 @@ def run_thermometry(
     published pulses enter.  Any failure of a stage is re-raised as
     ThermometryError naming the stage.
     """
+    for n in window:
+        check_integer("window state", n)
     window = [int(n) for n in window]
     if len(window) != len(set(window)):
         raise ValueError(f"window states must be distinct, got {window}")

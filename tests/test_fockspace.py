@@ -7,8 +7,8 @@ from scipy.special import eval_genlaguerre, gammaln
 from fockpulse.fockspace import (
     SystemConfig,
     build_hamiltonian,
+    _ladder,
     displacement_exponential,
-    ladder_operators,
     propagate,
 )
 
@@ -78,29 +78,25 @@ class TestSystemConfig:
 
 class TestLadderOperators:
     def test_cutoff_two(self):
-        cfg = SystemConfig(cutoff=2)
-        raising, lowering = ladder_operators(cfg)
+        raising, lowering = _ladder(2, 0)
         assert np.array_equal(lowering, [[0.0, 1.0], [0.0, 0.0]])
         assert np.array_equal(raising, lowering.T)
 
     def test_matrix_elements(self):
-        cfg = SystemConfig(cutoff=6)
-        _, lowering = ladder_operators(cfg)
+        _, lowering = _ladder(6, 0)
         for n in range(1, 6):
             assert lowering[n - 1, n] == pytest.approx(np.sqrt(n))
 
     def test_commutator_corner(self):
         # [a, a_dag] = 1 except the truncation corner, which collects -(top n).
-        cfg = SystemConfig(cutoff=4)
-        raising, lowering = ladder_operators(cfg)
+        raising, lowering = _ladder(4, 0)
         comm = lowering @ raising - raising @ lowering
         expected = np.eye(4)
         expected[3, 3] = -(4 - 1)
         assert np.allclose(comm, expected, atol=1e-12)
 
     def test_offset_uses_absolute_index(self):
-        cfg = SystemConfig(cutoff=12, fock_offset=24)
-        _, lowering = ladder_operators(cfg)
+        _, lowering = _ladder(12, 24)
         # <29| a |30>: relative positions 5 and 6
         assert lowering[5, 6] == pytest.approx(np.sqrt(30.0))
 

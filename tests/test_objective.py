@@ -75,6 +75,19 @@ class TestShelvingTarget:
             shelving_target(4, 4)
 
 
+@pytest.mark.parametrize(
+    "make, args, name",
+    [
+        (shelving_target, (4, True), "fock"),  # once emptied the whole diagonal
+        (shelving_target, (4, 1.5), "fock"),
+        (swap_target, (3.5, 0), "cutoff"),
+    ],
+)
+def test_targets_reject_non_integer_arguments(make, args, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        make(*args)
+
+
 class TestModulusLoss:
     def test_zero_for_phase_dressed_target(self):
         spec = swap_target(3, 0)

@@ -71,6 +71,11 @@ def test_configs_reject_non_integer_counts_and_seeds(make, bad):
     assert PsoConfig(particles=np.int64(8), seed=np.int64(3)).seed == 3
 
 
+def test_pso_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        PsoConfig(seed=-1)
+
+
 def test_refine_config_rejects_bad_values():
     with pytest.raises(ValueError, match="max_iters"):
         RefineConfig(max_iters=0)

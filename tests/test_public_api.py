@@ -22,6 +22,8 @@ RETIRED = (
     "ideal_sideband_propagator",
     "number_operator",
     "list_entries",
+    "ladder_operators",
+    "train_states",
 )
 
 

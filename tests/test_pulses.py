@@ -16,7 +16,6 @@ from fockpulse.pulses import (
     shared_drive,
     strong_drive_layout,
     train_product,
-    train_states,
     uniform_pulse_train,
     weak_drive_layout,
 )
@@ -64,6 +63,13 @@ class TestCompositePulse:
         back = CompositePulse.from_dicts(cp.to_dicts())
         for a, b in zip(cp.canonical(), back):
             assert (a.delta, a.omega, a.phi, a.t) == (b.delta, b.omega, b.phi, b.t)
+
+
+class TestUniformPulseTrain:
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_rejects_a_non_integer_count(self, count):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            uniform_pulse_train(count, delta=1.0, omega=OMEGA)
 
 
 class TestAnalyticSwapParameters:
@@ -277,10 +283,14 @@ class TestTrainUnitaries:
         per_row = train_product(
             cfg.cutoff, *drive_eigenpairs(cfg, deltas, 1.0), durations, phases
         )
+        column = np.eye(cfg.dim, 1)
+        shared_column = train_product(cfg.cutoff, *weak, durations, phases, column)
         for b in (0, 17, 63):
             one = durations[b : b + 1], phases[b : b + 1]
             alone = train_product(cfg.cutoff, *weak, *one)
             assert np.array_equal(alone[0], shared[b])
+            alone = train_product(cfg.cutoff, *weak, *one, column)
+            assert np.array_equal(alone[0], shared_column[b])
             strong = drive_eigenpairs(cfg, deltas[b], 1.0)
             alone = train_product(cfg.cutoff, *strong, *one)
             assert np.array_equal(alone[0], per_row[b])
@@ -312,35 +322,35 @@ class TestTrainUnitaries:
             shared_drive(mixed)
 
 
-class TestTrainStates:
-    """The column kernel against the pulse-by-pulse reference."""
+class TestStateBlocks:
+    """``train_product`` on a (dim, k) block of states against the
+    pulse-by-pulse reference applied to the block."""
 
     @pytest.mark.parametrize("fock_offset", [0, 7])
     def test_matches_composite_unitary_on_a_block(self, fock_offset):
         cfg = SystemConfig(cutoff=6, fock_offset=fock_offset)
         rng = np.random.default_rng(fock_offset)
-        trains = [
-            CompositePulse(
-                tuple(
-                    PulseParams(delta=d, omega=o, phi=f, t=t)
-                    for d, o, f, t in zip(
-                        (1.0, 0.7, 0.7, 1.0),
-                        (omega, omega, omega, 1.0),
-                        rng.uniform(0.0, 2 * np.pi, 4),
-                        (rng.uniform(0.0, 300.0), 0.0, *rng.uniform(0.0, 300.0, 2)),
+        durations = rng.uniform(0.0, 300.0, (4, 3))
+        durations[0, 1] = 0.0  # a zero-length pulse
+        phases = np.hstack([np.zeros((4, 1)), rng.uniform(0.0, 2 * np.pi, (4, 2))])
+        states = rng.normal(size=(cfg.dim, 3)) + 1j * rng.normal(size=(cfg.dim, 3))
+        # one drive shared by every row, then one drive per row
+        for delta, omega in ((1.0, OMEGA), (rng.uniform(0.25, 2.5, 4), 1.0)):
+            drive = drive_eigenpairs(cfg, delta, omega)
+            out = train_product(cfg.cutoff, *drive, durations, phases, states)
+            assert out.shape == (4, cfg.dim, 3)
+            for b, d in enumerate(np.broadcast_to(delta, 4).tolist()):
+                cp = CompositePulse(
+                    tuple(
+                        PulseParams(delta=d, omega=omega, phi=f, t=t)
+                        for t, f in zip(durations[b], phases[b])
                     )
                 )
-            )
-            for omega in (OMEGA, 1.0)
-        ]
-        states = rng.normal(size=(cfg.dim, 3)) + 1j * rng.normal(size=(cfg.dim, 3))
-        out = train_states(cfg, trains, states)
-        assert out.shape == (2, cfg.dim, 3)
-        for b, cp in enumerate(trains):
-            ref, bar = TestTrainUnitaries.reference(cfg, cp)
-            assert np.abs(out[b] - ref @ states).max() <= bar * np.abs(states).max()
+                ref, bar = TestTrainUnitaries.reference(cfg, cp)
+                assert np.abs(out[b] - ref @ states).max() <= bar * np.abs(states).max()
 
     def test_rejects_a_block_of_the_wrong_size(self):
         cfg = SystemConfig(cutoff=3)
+        w, v = drive_eigenpairs(cfg, 1.0, OMEGA)
         with pytest.raises(ValueError, match="states"):
-            train_states(cfg, [uniform_pulse_train(2, delta=1.0, omega=OMEGA)], np.eye(5))
+            train_product(cfg.cutoff, w, v, np.ones((1, 2)), np.zeros((1, 2)), np.eye(5))

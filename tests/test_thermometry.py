@@ -46,6 +46,12 @@ def test_distribution_validates_and_renormalizes():
             PhononDistribution(populations=np.array([bad, 1.0]))
 
 
+@pytest.mark.parametrize("populations", [[True, False], ["0.5", "0.5"]])
+def test_distribution_rejects_booleans_and_strings(populations):
+    with pytest.raises(ValueError, match="populations must be a number"):
+        PhononDistribution(populations=populations)
+
+
 def test_thermal_distribution_matches_geometric_form():
     dist = thermal_distribution(1.0, 60)
     # nbar = 1 gives P_n = 2^-(n+1)
@@ -289,6 +295,22 @@ def test_run_thermometry_validates_inputs():
             layout,
             pcfg,
             rcfg,
+            pulses=_probe_pulses(2),
+        )
+
+
+def test_run_thermometry_rejects_a_non_integer_window_state():
+    cfg_design, cfg_truth = SystemConfig(cutoff=4), SystemConfig(cutoff=20)
+    with pytest.raises(ValueError, match="window state must be an integer"):
+        run_thermometry(
+            cfg_design,
+            cfg_truth,
+            [0, 1.5],
+            thermal_distribution(0.5, 20),
+            uniform_pulse_train(2, delta=1.0, omega=0.1),
+            weak_drive_layout(2, eta=cfg_design.eta, omega=0.1),
+            PsoConfig(particles=8, iterations=1),
+            RefineConfig(max_iters=1),
             pulses=_probe_pulses(2),
         )
 

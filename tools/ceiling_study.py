@@ -20,7 +20,8 @@ does not hold the fewer-pulse trains' robustness.
 The search builds the members of each grid from the offset arrays of a
 one-spec ``OffsetEnsemble`` and evaluates them with the package's batched
 kernel: every pulse shares one drive, so ``GridFloors`` takes one
-``drive_eigenpairs`` and hands it to ``train_product`` for every candidate.
+``drive_eigenpairs`` and hands it to ``train_product`` for every candidate,
+which carries the one input column |g,0> through each member's train.
 Each reported floor is then recomputed with ``sweep``, which builds every
 propagator with ``composite_unitary``, and the two must agree to 1e-9.  The
 report also gives the duration floor over whole trap periods only (offsets
@@ -32,10 +33,10 @@ Run from the repository root:
 
 The recorded ``tools/ceiling_study.txt`` joins two runs made in parallel, one
 per mode (``--modes joint`` and ``--modes held``); each took about 18 minutes on
-one core of a two-core x86-64 machine, with an earlier propagator that carried
-only the |g,0> column.  The batched kernel builds whole 6x6 propagators and
-makes one evaluation of both grids about four times slower (0.8 ms -> 3.6 ms
-on that machine), so a run now takes over an hour per mode.
+one core of a two-core x86-64 machine, with an earlier propagator that also
+carried only the |g,0> column.  On a two-core x86-64 machine with one BLAS
+thread, one evaluation of both grids of a three-pulse train takes about 0.8 ms on the
+batched kernel, against about 2.1 ms when it built whole 6x6 propagators.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ CFG = SystemConfig(cutoff=3)
 PHASE_WINDOW = SweepSpec(axis="phase", lower=-math.pi / 4, upper=math.pi / 4, points=257)
 DURATION_WINDOW = SweepSpec(axis="duration", lower=-62.8, upper=62.8, points=257)
 PROBE = TransitionProbe(fock=0, mode="transfer")
+GROUND = np.eye(CFG.dim, 1)  # the input column |g,0>
 
 
 class GridFloors:
@@ -87,12 +89,12 @@ class GridFloors:
     def floors(self, x: np.ndarray) -> tuple[float, float]:
         """(phase floor, duration floor): the least |<e,1|U|g,0>|^2 on each grid."""
         t, phi, _ = self.layout.decode(x[None, :], self.template)
-        out = []
+        floors = []
         for dt, dphi in self.grids:
             members = np.maximum(t + dt, 0.0), phi + dphi
-            u = train_product(CFG.cutoff, *self.drive, *members)
-            out.append(float((np.abs(u[:, CFG.cutoff + 1, 0]) ** 2).min()))
-        return out[0], out[1]
+            psi = train_product(CFG.cutoff, *self.drive, *members, GROUND)
+            floors.append(float((np.abs(psi[:, CFG.cutoff + 1, 0]) ** 2).min()))
+        return floors[0], floors[1]
 
 
 def _objective(grid: GridFloors, mode: str):
