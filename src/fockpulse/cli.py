@@ -53,26 +53,24 @@ from .thermometry import (
     thermal_distribution,
 )
 
-__all__ = ["main", "RunConfig", "DesignFailure"]
+__all__ = ["main", "RunConfig"]
 
 log = logging.getLogger("fockpulse")
 
 _CONFIG_VERSION = 1
 _TARGET_RE = re.compile(r"^(swap|shelve)\((\d+)\)$")
 
+# The keys each level of a config may hold; any other key is bad input (the
+# system, pso and refine blocks hold the fields of their records).
+_CONFIG_KEYS = (
+    "version", "regime", "system", "pulse_count", "target", "pso", "refine",
+    "starts", "refine_top", "loss_threshold", "thermometry",
+)
+_THERMOMETRY_KEYS = ("window", "truth_cutoff", "distribution", "pulse_ids")
+_DISTRIBUTION_KEYS = ("thermal_nbar", "populations", "first_fock")
+
 # One dimensionless duration unit is 1/(2*pi) microseconds for a 1 MHz mode.
 MICROSECONDS_PER_UNIT = 1.0 / (2.0 * math.pi)
-
-
-class DesignFailure(RuntimeError):
-    """Design finished but the loss stayed above the configured threshold."""
-
-    def __init__(self, loss: float, threshold: float):
-        self.loss = loss
-        self.threshold = threshold
-        super().__init__(
-            f"designed pulse has loss {loss:.6f}, above the threshold {threshold}"
-        )
 
 
 def parse_target(preset: str, cutoff: int) -> TargetSpec:
@@ -91,14 +89,20 @@ def parse_target(preset: str, cutoff: int) -> TargetSpec:
     return shelving_target(cutoff, fock)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated run description parsed from the JSON config file."""
+    """Validated run description: the records the commands run, built once.
+
+    ``preset`` is the target's label, as written in the config and stored in
+    the library entry; ``target`` is the TargetSpec it names.
+    """
 
     system: SystemConfig
     regime: str
-    pulse_count: int
-    target: str
+    preset: str
+    target: TargetSpec
+    template: CompositePulse
+    layout: ParamLayout
     pso: PsoConfig
     refine: RefineConfig
     starts: int
@@ -106,24 +110,9 @@ class RunConfig:
     loss_threshold: float
     thermometry: dict[str, Any] | None
 
-    @property
-    def omega(self) -> float:
-        return WEAK_DRIVE_OMEGA if self.regime == "weak" else STRONG_DRIVE_OMEGA
-
-    def layout(self) -> ParamLayout:
-        if self.regime == "weak":
-            return weak_drive_layout(
-                self.pulse_count, eta=self.system.eta, omega=self.omega
-            )
-        return strong_drive_layout(
-            self.pulse_count, eta=self.system.eta, omega=self.omega
-        )
-
-    def template(self) -> CompositePulse:
-        return uniform_pulse_train(self.pulse_count, delta=1.0, omega=self.omega)
-
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "RunConfig":
+        _object("config", doc, _CONFIG_KEYS)
         version = doc.get("version")
         if version != _CONFIG_VERSION:
             raise ValueError(
@@ -134,8 +123,12 @@ class RunConfig:
             raise ValueError(f"regime must be 'weak' or 'strong', got {regime!r}")
         system = _config_block(SystemConfig, doc, "system")
         pulse_count = _integer_key(doc, "pulse_count", 3)
-        target = str(doc.get("target", "swap(0)"))
-        parse_target(target, system.cutoff)  # fail fast on bad presets
+        omega = WEAK_DRIVE_OMEGA if regime == "weak" else STRONG_DRIVE_OMEGA
+        template = uniform_pulse_train(pulse_count, delta=1.0, omega=omega)
+        build_layout = weak_drive_layout if regime == "weak" else strong_drive_layout
+        layout = build_layout(pulse_count, eta=system.eta, omega=omega)
+        preset = str(doc.get("target", "swap(0)"))
+        target = parse_target(preset, system.cutoff)
         pso = _config_block(PsoConfig, doc, "pso")
         refine = _config_block(RefineConfig, doc, "refine")
         starts = _integer_key(doc, "starts", 4)
@@ -143,13 +136,15 @@ class RunConfig:
         loss_threshold = doc.get("loss_threshold", 0.5)
         check_real("loss_threshold", loss_threshold)
         thermometry = doc.get("thermometry")
-        if thermometry is not None and not isinstance(thermometry, dict):
-            raise ValueError("'thermometry' must be an object")
+        if thermometry is not None:
+            _object("'thermometry'", thermometry, _THERMOMETRY_KEYS)
         return cls(
             system=system,
             regime=regime,
-            pulse_count=pulse_count,
+            preset=preset,
             target=target,
+            template=template,
+            layout=layout,
             pso=pso,
             refine=refine,
             starts=starts,
@@ -159,7 +154,12 @@ class RunConfig:
         )
 
     @classmethod
-    def load(cls, path: Path) -> "RunConfig":
+    def load(
+        cls, path: Path, cutoff: int | None = None, seed: int | None = None
+    ) -> "RunConfig":
+        """Read the config at ``path``; ``cutoff`` and ``seed`` replace the
+        document's ``system.cutoff`` and ``pso.seed`` before it is read, so
+        they meet the same checks as the values they replace."""
         try:
             doc = json.loads(Path(path).read_text())
         except FileNotFoundError:
@@ -168,7 +168,20 @@ class RunConfig:
             raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
+        for name, key, value in (("system", "cutoff", cutoff), ("pso", "seed", seed)):
+            if value is not None and isinstance(doc.setdefault(name, {}), dict):
+                doc[name][key] = value
         return cls.from_document(doc)
+
+
+def _object(name: str, value: Any, keys: Sequence[str]) -> dict[str, Any]:
+    """``value``, which must be an object holding no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown keys in {name}: {', '.join(map(repr, unknown))}")
+    return value
 
 
 def _integer_key(doc: dict[str, Any], name: str, default: int) -> int:
@@ -179,17 +192,14 @@ def _integer_key(doc: dict[str, Any], name: str, default: int) -> int:
 
 
 def _config_block(cls: type, doc: dict[str, Any], name: str) -> Any:
-    """Build ``cls`` from the config's ``name`` block; a bad key is bad input."""
-    try:
-        return cls(**doc.get(name, {}))
-    except TypeError as exc:
-        raise ValueError(f"bad {name!r} block in config: {exc}") from exc
+    """Build ``cls`` from the config's ``name`` block, whose keys are its fields."""
+    keys = [field.name for field in dataclasses.fields(cls)]
+    return cls(**_object(f"'{name}' block", doc.get(name, {}), keys))
 
 
 def parse_distribution(spec: dict[str, Any], cutoff: int) -> PhononDistribution:
     """Distribution from a config block: thermal or explicit populations."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"'distribution' must be an object, got {spec!r}")
+    _object("'distribution'", spec, _DISTRIBUTION_KEYS)
     if "thermal_nbar" in spec:
         nbar = spec["thermal_nbar"]
         check_real("thermal_nbar", nbar)
@@ -200,16 +210,14 @@ def parse_distribution(spec: dict[str, Any], cutoff: int) -> PhononDistribution:
         values = spec["populations"]
         if not isinstance(values, list):
             raise ValueError(f"'populations' must be a list, got {values!r}")
-        for value in values:
-            check_real("population", value)
         if first < 0 or first + len(values) > cutoff:
             raise ValueError(
                 f"populations spanning [{first}, {first + len(values)}) do not "
                 f"fit in {cutoff} truth levels"
             )
-        populations = np.zeros(cutoff)
-        populations[first : first + len(values)] = values
-        return PhononDistribution(populations=populations)
+        # the raw values, so PhononDistribution sees a string or bool as given
+        padding = [0] * (cutoff - first - len(values))
+        return PhononDistribution(populations=[0] * first + values + padding)
     raise ValueError(
         "distribution needs either 'thermal_nbar' or 'populations' (+ 'first_fock')"
     )
@@ -277,36 +285,36 @@ def _load_pulse_arg(
 
 
 def cmd_design(args: argparse.Namespace) -> int:
-    rc = RunConfig.load(Path(args.config))
-    if args.cutoff is not None:
-        rc.system = dataclasses.replace(rc.system, cutoff=args.cutoff)
-    if args.seed is not None:
-        rc.pso = dataclasses.replace(rc.pso, seed=args.seed)
-    target = parse_target(rc.target, rc.system.cutoff)
+    rc = RunConfig.load(Path(args.config), cutoff=args.cutoff, seed=args.seed)
     log.info(
         "designing %s at cutoff %d (%s drive, %d pulses, %d starts)",
-        rc.target,
+        rc.preset,
         rc.system.cutoff,
         rc.regime,
-        rc.pulse_count,
+        len(rc.template),
         rc.starts,
     )
     result: OptimizationResult = design_pulse(
         rc.system,
-        rc.template(),
-        rc.layout(),
-        target,
+        rc.template,
+        rc.layout,
+        rc.target,
         rc.pso,
         rc.refine,
         starts=rc.starts,
         refine_top=rc.refine_top,
     )
     if result.loss > rc.loss_threshold:
-        raise DesignFailure(result.loss, rc.loss_threshold)
+        log.error(
+            "designed pulse has loss %.6f, above the threshold %s",
+            result.loss,
+            rc.loss_threshold,
+        )
+        return 3
 
     entry = PulseLibraryEntry(
         system=rc.system,
-        target=rc.target,
+        target=rc.preset,
         pulse=result.pulse.canonical(),
         loss=result.loss,
         meta={
@@ -328,7 +336,7 @@ def cmd_design(args: argparse.Namespace) -> int:
         {
             "id": entry.id,
             "system": dataclasses.asdict(rc.system),
-            "target": rc.target,
+            "target": rc.preset,
             "loss": result.loss,
             "evaluations": result.evaluations,
             "pulses": entry.pulse.to_dicts(),
@@ -377,17 +385,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_thermometry(args: argparse.Namespace) -> int:
-    rc = RunConfig.load(Path(args.config))
-    if args.seed is not None:
-        rc.pso = dataclasses.replace(rc.pso, seed=args.seed)
+    rc = RunConfig.load(Path(args.config), seed=args.seed)
     block = rc.thermometry
     if block is None:
         raise ValueError("config has no 'thermometry' section")
     window = block.get("window", [])
-    if not isinstance(window, list) or not window:
+    if not isinstance(window, list):
         raise ValueError("thermometry config needs a nonempty 'window' list")
-    for n in window:
-        check_integer("window entry", n)
     truth_cutoff = _integer_key(block, "truth_cutoff", 100)
     cfg_truth = dataclasses.replace(
         rc.system, cutoff=truth_cutoff, fock_offset=0
@@ -408,8 +412,8 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
         cfg_truth,
         window,
         dist,
-        rc.template(),
-        rc.layout(),
+        rc.template,
+        rc.layout,
         rc.pso,
         rc.refine,
         pulses=pulses,
@@ -568,19 +572,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IllConditionedError as exc:
         log.error("%s", exc)
         return 4
-    except DesignFailure as exc:
-        log.error("%s", exc)
-        return 3
     except KeyError as exc:
         log.error("missing config key: %s", exc)
         return 2
-    except (
-        ValueError,
-        FileNotFoundError,
-        NotADirectoryError,
-        OSError,
-        ThermometryError,
-    ) as exc:
+    except (ValueError, OSError, ThermometryError) as exc:
         log.error("%s", exc)
         return 2
 

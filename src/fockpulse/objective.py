@@ -46,10 +46,6 @@ class TargetSpec:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "mask", mask)
 
-    @property
-    def dim(self) -> int:
-        return self.modulus.shape[0]
-
 
 def swap_target(cutoff: int, fock: int = 0) -> TargetSpec:
     """Full-matrix target exchanging |g, n> and |e, n+1>, identity elsewhere.

@@ -392,6 +392,8 @@ def design_pulse(
     Every stage minimizes the same objective: ``robust_loss`` over
     ``ensemble``, which defaults to the nominal pulse alone.
     """
+    check_integer("starts", starts)
+    check_integer("refine_top", refine_top)
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     if not 1 <= refine_top <= starts:

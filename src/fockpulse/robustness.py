@@ -159,16 +159,6 @@ class OffsetEnsemble:
             dphi.append(grid if spec.axis == "phase" else idle)
         return np.array(weights), np.concatenate(dt), np.concatenate(dphi)
 
-    def members(self, cp: CompositePulse) -> list[tuple[float, CompositePulse]]:
-        """(weight, pulse) for every member, the nominal pulse first."""
-        out = [(1.0, cp)]
-        for spec, weight in zip(self.specs, self.weights):
-            for offset in spec.offsets():
-                out.append(
-                    (weight, perturb(cp, spec.axis, float(offset), spec.which)[0])
-                )
-        return out
-
 
 @dataclass
 class SweepResult:

@@ -120,6 +120,18 @@ def thermal_distribution(nbar: float, cutoff: int) -> PhononDistribution:
     return PhononDistribution(populations=populations)
 
 
+def _window_states(window: Sequence[int]) -> list[int]:
+    """``window`` as a list; it must hold distinct integers, at least one."""
+    window = list(window)
+    if not window:
+        raise ValueError("window must hold at least one state")
+    for n in window:
+        check_integer("window state", n)
+    if len(window) != len(set(window)):
+        raise ValueError(f"window states must be distinct, got {window}")
+    return [int(n) for n in window]
+
+
 def profiles_to_coefficients(
     profiles: np.ndarray, window: Sequence[int], fock_offset: int = 0
 ) -> np.ndarray:
@@ -130,7 +142,7 @@ def profiles_to_coefficients(
     translates them into profile positions.
     """
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
-    window = list(window)
+    window = _window_states(window)
     if profiles.shape[0] != len(window):
         raise ValueError(
             f"got {profiles.shape[0]} profiles for a window of {len(window)} states"
@@ -276,11 +288,7 @@ def run_thermometry(
     published pulses enter.  Any failure of a stage is re-raised as
     ThermometryError naming the stage.
     """
-    for n in window:
-        check_integer("window state", n)
-    window = [int(n) for n in window]
-    if len(window) != len(set(window)):
-        raise ValueError(f"window states must be distinct, got {window}")
+    window = _window_states(window)
     if cfg_truth.fock_offset != 0:
         raise ValueError("truth space must start at Fock index 0")
     _check_truth(cfg_truth, dist)

@@ -2,6 +2,8 @@
 
 import json
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fockpulse import (
     save_entry,
     shelving_target,
 )
+from fockpulse import cli, thermometry
 from fockpulse.cli import RunConfig, main, parse_distribution, parse_target
 from fockpulse.library import PulseLibraryEntry
 
@@ -68,8 +71,8 @@ def test_run_config_validation(tmp_path):
     _write_config(cfg_path)
     rc = RunConfig.load(cfg_path)
     assert rc.system.cutoff == 3
-    assert rc.omega == 0.1
-    assert rc.layout().dim == 5  # three durations plus two relative phases
+    assert rc.template[0].omega == 0.1
+    assert rc.layout.dim == 5  # three durations plus two relative phases
 
     _write_config(cfg_path, version=2)
     with pytest.raises(ValueError, match="config version"):
@@ -109,12 +112,12 @@ def test_parse_distribution_variants():
         ({"thermal_nbar": "nan"}, "thermal_nbar must be a number"),
         ({"thermal_nbar": float("inf")}, "nbar must be finite"),
         ({"thermal_nbar": None}, "thermal_nbar must be a number"),
-        ({"populations": [float("nan"), 1.0]}, "population must be finite"),
-        ({"populations": [0.5, None]}, "population must be a number"),
+        ({"populations": [float("nan"), 1.0]}, "populations must be finite"),
+        ({"populations": [0.5, None]}, "populations must be a number"),
         ({"populations": 0.5}, "'populations' must be a list"),
         (5, "'distribution' must be an object"),
         ({"thermal_nbar": True}, "thermal_nbar must be a number"),
-        ({"populations": [True, False]}, "population must be a number"),
+        ({"populations": [True, False]}, "populations must be a number"),
     ],
 )
 def test_parse_distribution_rejects_bad_values(spec, message):
@@ -368,12 +371,12 @@ THERMOMETRY = {
         (
             "thermometry",
             {"thermometry": {**THERMOMETRY, "window": [0, 1.5]}},
-            "window entry must be an integer",
+            "window state must be an integer",
         ),
         (
             "thermometry",
             {"thermometry": {**THERMOMETRY, "window": [0, True]}},
-            "window entry must be an integer",
+            "window state must be an integer",
         ),
         (
             "thermometry",
@@ -416,6 +419,68 @@ def test_non_integer_count_or_non_finite_threshold_exits_two(
     assert message in caplog.text
 
 
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("design", {"pulse_cont": 6}, "pulse_cont"),
+        (
+            "thermometry",
+            {"thermometry": {**THERMOMETRY, "truth_cutof": 20}},
+            "truth_cutof",
+        ),
+        (
+            "thermometry",
+            {
+                "thermometry": {
+                    **THERMOMETRY,
+                    "distribution": {"populations": [0.3, 0.4, 0.3], "first_fok": 5},
+                }
+            },
+            "first_fok",
+        ),
+    ],
+)
+def test_unknown_key_at_any_level_exits_two(tmp_path, caplog, command, overrides, key):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, **overrides)
+    out = tmp_path / "runs"
+    code = main(["--quiet", command, "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert "unknown keys in" in caplog.text and repr(key) in caplog.text
+
+
+def test_overrides_meet_the_config_checks(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path)
+    rc = RunConfig.load(cfg_path, cutoff=4, seed=7)
+    assert rc.system.cutoff == 4 and rc.pso.seed == 7
+    assert rc.target.modulus.shape == (8, 8)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        RunConfig.load(cfg_path, seed=-1)
+    with pytest.raises(ValueError, match="cutoff must be >= 2"):
+        RunConfig.load(cfg_path, cutoff=1)
+    _write_config(cfg_path, target="swap(2)")  # needs cutoff 4
+    with pytest.raises(ValueError, match="swap needs fock"):
+        RunConfig.load(cfg_path)
+    assert RunConfig.load(cfg_path, cutoff=4).preset == "swap(2)"
+    out = tmp_path / "runs"
+    argv = ["--quiet", "design", "--config", str(cfg_path), "--out", str(out)]
+    overrides = ["--cutoff", "4", "--seed", "7"]
+    for block in ("system", "pso"):
+        _write_config(cfg_path, **{block: 5})
+        with pytest.raises(ValueError, match=f"'{block}' block must be an object"):
+            RunConfig.load(cfg_path, cutoff=4, seed=7)
+        assert main(argv) == main(argv + overrides) == 2
+
+    _write_config(cfg_path)
+    assert main(argv + overrides) == 0
+    (entry,) = (out / "library").glob("*.json")
+    stored = json.loads(entry.read_text())
+    assert stored["system"]["cutoff"] == 4
+    assert stored["meta"]["pso"]["seed"] == 7
+    capsys.readouterr()
+
+
 def test_design_logs_progress_through_logging(tmp_path, caplog, capsys):
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path)
@@ -425,3 +490,51 @@ def test_design_logs_progress_through_logging(tmp_path, caplog, capsys):
     refined = [r for r in caplog.records if "refine done after" in r.getMessage()]
     assert [r.name for r in refined] == ["fockpulse.optimizer"]
     assert "refine done after" not in capsys.readouterr().out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_config() -> dict:
+    """The one JSON config example in README.md."""
+    (example,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    return json.loads(example)
+
+
+def _misspellings(doc: dict):
+    """(key path, copy of ``doc`` with that key's last letter dropped), for
+    every key at every level."""
+    for key, value in doc.items():
+        yield key, {**{k: v for k, v in doc.items() if k != key}, key[:-1]: value}
+        if isinstance(value, dict):
+            for path, inner in _misspellings(value):
+                yield f"{key}.{path}", {**doc, key: inner}
+
+
+def test_readme_config_example_is_valid():
+    doc = _readme_config()
+    rc = RunConfig.from_document(doc)
+    assert len(rc.template) == doc["pulse_count"]
+    block = doc["thermometry"]
+    dist = parse_distribution(block["distribution"], block["truth_cutoff"])
+    assert len(dist) == block["truth_cutoff"]
+
+
+@pytest.mark.parametrize(
+    "doc", [pytest.param(doc, id=path) for path, doc in _misspellings(_readme_config())]
+)
+def test_readme_config_with_a_misspelled_key_exits_two(tmp_path, monkeypatch, doc):
+    designed = []
+
+    def record(*args, **kwargs):
+        designed.append(args)
+        raise AssertionError("a pulse was designed")
+
+    monkeypatch.setattr(cli, "design_pulse", record)
+    monkeypatch.setattr(thermometry, "design_pulse", record)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "runs"
+    code = main(["--quiet", "thermometry", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert designed == []

@@ -374,6 +374,21 @@ def test_design_pulse_validates_stage_counts():
         )
 
 
+@pytest.mark.parametrize(
+    "counts, name",
+    [
+        ({"starts": 2.5}, "starts"),
+        ({"starts": True}, "starts"),
+        ({"starts": 2, "refine_top": 1.5}, "refine_top"),
+        ({"starts": 2, "refine_top": True}, "refine_top"),
+    ],
+)
+def test_design_pulse_rejects_non_integer_stage_counts(counts, name):
+    pcfg = PsoConfig(particles=8, iterations=1)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        design_pulse(CFG, TEMPLATE, LAYOUT, TARGET, pcfg, RefineConfig(), **counts)
+
+
 @pytest.mark.parametrize("gap, shorter_wins", [(1e-13, True), (1e-9, False)])
 def test_design_pulse_breaks_loss_ties_by_duration(monkeypatch, gap, shorter_wins):
     def result(t: float, loss: float) -> OptimizationResult:

@@ -6,6 +6,7 @@ import pytest
 
 import fockpulse
 from fockpulse import (
+    cli,
     fockspace,
     library,
     objective,
@@ -52,6 +53,9 @@ def test_retired_names_are_gone():
         assert not hasattr(fockpulse, name)
         assert all(not hasattr(module, name) for module in MODULES)
     assert not hasattr(pulses.ParamLayout, "slot_names")
+    assert not hasattr(robustness.OffsetEnsemble, "members")
+    assert not hasattr(objective.TargetSpec, "dim")
+    assert not hasattr(cli, "DesignFailure")
     # the conjugate displacement (the old ``sign=-1``) is no longer offered
     assert list(inspect.signature(fockspace.displacement_exponential).parameters) == [
         "cfg"

@@ -54,11 +54,14 @@ def test_offset_ensemble_validation_and_members():
     with pytest.raises(ValueError, match="weight must be a number"):
         OffsetEnsemble([spec], weights=("1",))
     assert OffsetEnsemble([spec]).weights == (1.0,)
-    members = OffsetEnsemble([spec], weights=(3.0,)).members(TRAIN)
-    assert members[0] == (1.0, TRAIN)
-    assert [w for w, _ in members] == [1.0, 3.0, 3.0, 3.0]
+    weights, dt, _ = OffsetEnsemble([spec], weights=(3.0,)).offsets(len(TRAIN))
+    assert weights.tolist() == [1.0, 3.0, 3.0, 3.0]
+    members = [TRAIN] + [
+        perturb(TRAIN, "duration", float(offset))[0] for offset in spec.offsets()
+    ]
     # -100 clamps the first and last pulse at zero
-    assert [m.total_duration for _, m in members] == [250.0, 20.0, 250.0, 550.0]
+    totals = np.maximum([p.t for p in TRAIN] + dt, 0.0).sum(axis=1).tolist()
+    assert totals == [m.total_duration for m in members] == [250.0, 20.0, 250.0, 550.0]
 
 
 def test_offset_arrays_build_the_members():
@@ -75,8 +78,15 @@ def test_offset_arrays_build_the_members():
     assert dt.shape == dphi.shape == (1 + 3 + 3 + 4 + 3, len(TRAIN))
     t = np.array([p.t for p in TRAIN])
     phi = np.array([p.phi for p in TRAIN])
+    # the object rule: ``perturb`` once per member, the nominal pulse first
+    members = [(1.0, TRAIN)] + [
+        (weight, perturb(TRAIN, spec.axis, float(offset), spec.which)[0])
+        for spec, weight in zip(ensemble.specs, ensemble.weights)
+        for offset in spec.offsets()
+    ]
+    assert len(members) == len(weights)
     for w, row_t, row_phi, (weight, member) in zip(
-        weights, np.maximum(t + dt, 0.0), phi + dphi, ensemble.members(TRAIN)
+        weights, np.maximum(t + dt, 0.0), phi + dphi, members
     ):
         assert w == weight
         assert row_t.tolist() == [p.t for p in member]

@@ -108,6 +108,19 @@ def test_profiles_to_coefficients_rejects_bad_windows():
         profiles_to_coefficients(profiles, [0, 1, 5])
 
 
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ([0, 1.5], "window state must be an integer"),
+        ([True, 1], "window state must be an integer"),
+        ([1, 1], "distinct"),
+    ],
+)
+def test_profiles_to_coefficients_checks_window_states(window, message):
+    with pytest.raises(ValueError, match=message):
+        profiles_to_coefficients(np.random.default_rng(0).random((2, 4)), window)
+
+
 def test_simulate_measurements_requires_matching_truth_size():
     cfg = SystemConfig(cutoff=6)
     pulses = [uniform_pulse_train(2, delta=1.0, omega=0.1)]
@@ -312,6 +325,25 @@ def test_run_thermometry_rejects_a_non_integer_window_state():
             PsoConfig(particles=8, iterations=1),
             RefineConfig(max_iters=1),
             pulses=_probe_pulses(2),
+        )
+
+
+def test_run_thermometry_rejects_an_empty_window_before_designing(monkeypatch):
+    def no_design(*args, **kwargs):
+        raise AssertionError("the design stage ran")
+
+    monkeypatch.setattr(thermometry, "design_pulse", no_design)
+    cfg_design = SystemConfig(cutoff=4)
+    with pytest.raises(ValueError, match="at least one state"):
+        run_thermometry(
+            cfg_design,
+            SystemConfig(cutoff=20),
+            [],
+            thermal_distribution(0.5, 20),
+            uniform_pulse_train(2, delta=1.0, omega=0.1),
+            weak_drive_layout(2, eta=cfg_design.eta, omega=0.1),
+            PsoConfig(particles=8, iterations=1),
+            RefineConfig(max_iters=1),
         )
 
 
