@@ -201,9 +201,7 @@ def parse_distribution(spec: dict[str, Any], cutoff: int) -> PhononDistribution:
     """Distribution from a config block: thermal or explicit populations."""
     _object("'distribution'", spec, _DISTRIBUTION_KEYS)
     if "thermal_nbar" in spec:
-        nbar = spec["thermal_nbar"]
-        check_real("thermal_nbar", nbar)
-        return thermal_distribution(nbar, cutoff)
+        return thermal_distribution(spec["thermal_nbar"], cutoff)
     if "populations" in spec:
         first = spec.get("first_fock", 0)
         check_integer("first_fock", first)
@@ -398,11 +396,16 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
     )
     dist = parse_distribution(block.get("distribution", {}), truth_cutoff)
 
+    pulse_ids = block.get("pulse_ids", [])
+    if not isinstance(pulse_ids, list) or not all(
+        isinstance(key, str) for key in pulse_ids
+    ):
+        raise ValueError(f"'pulse_ids' must be a list of strings, got {pulse_ids!r}")
     pulses = None
-    if block.get("pulse_ids"):
+    if pulse_ids:
         entries = [
             load_entry(find_entry(Path(args.out) / "library", key))
-            for key in block["pulse_ids"]
+            for key in pulse_ids
         ]
         pulses = [e.pulse for e in entries]
         log.info("loaded %d pulses from the library", len(pulses))
@@ -572,9 +575,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IllConditionedError as exc:
         log.error("%s", exc)
         return 4
-    except KeyError as exc:
-        log.error("missing config key: %s", exc)
-        return 2
     except (ValueError, OSError, ThermometryError) as exc:
         log.error("%s", exc)
         return 2

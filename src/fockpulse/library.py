@@ -89,13 +89,22 @@ def save_entry(entry: PulseLibraryEntry, library_dir: Path | str) -> Path:
 
 
 def load_entry(path: Path | str) -> PulseLibraryEntry:
-    """Read an entry back; validates schema version and content key."""
+    """Read an entry back; validates schema version and content key.
+
+    A document that is not an object, or lacks a field, raises ValueError
+    naming the file.
+    """
     document = json.loads(Path(path).read_text())
+    if not isinstance(document, dict):
+        raise ValueError(f"pulse entry {path} must hold a JSON object")
     version = document.get("version")
     if version != _SCHEMA_VERSION:
         raise ValueError(
             f"unsupported pulse-library schema version {version!r} in {path}"
         )
+    for key in ("system", "pulses", "target", "loss"):
+        if key not in document:
+            raise ValueError(f"pulse entry {path} has no {key!r} field")
     system = SystemConfig(**document["system"])
     pulse = CompositePulse.from_dicts(document["pulses"])
     target = document["target"]

@@ -11,10 +11,14 @@ optimum.
 Every evaluation goes through the same pure objective, and it runs in
 blocks: it maps a (P, k) block of layout vectors to P losses through the
 batched kernel ``train_product``, so the swarm evaluates its whole
-population per iteration and a finite-difference gradient all of its probes
-at once.  One row is one evaluation.  The kernel's propagators agree with
-``composite_unitary`` only up to rounding, so seeded designs match those of
-the pulse-by-pulse objective that came before it only up to rounding too.
+population per iteration.  The refinement asks the same objective for a
+loss and its exact gradient at once, from ``ensemble_gradients``: one
+forward and one backward pass over the kernel's eigenpairs, as in GRAPE
+(Khaneja et al., J. Magn. Reson. 172, 296 (2005); de Fouquieres et al.,
+J. Magn. Reson. 212, 412 (2011)).  One row is one evaluation.  The kernel's
+propagators agree with ``composite_unitary`` only up to rounding, so seeded
+designs match those of the pulse-by-pulse objective that came before it only
+up to rounding too.
 A row's loss does not depend on the block it is evaluated in.
 
 The objective is the ``robust_loss`` over the pulses the offset grids of an
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -45,7 +49,7 @@ from .pulses import (
     composite_unitary,  # noqa: F401  the reference path, rebound by bench/tracer.py
     drive_eigenpairs,
 )
-from .robustness import OffsetEnsemble, ensemble_losses
+from .robustness import OffsetEnsemble, ensemble_gradients, ensemble_losses
 
 __all__ = [
     "PsoConfig",
@@ -67,9 +71,6 @@ _TIE_TOL = 1e-12
 
 # Constriction coefficients of the swarm (Eberhart & Shi, CEC 2000).
 _INERTIA, _COGNITIVE, _SOCIAL = 0.729, 1.49445, 1.49445
-
-# Step of the refinement's finite-difference gradient.
-_GRADIENT_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,8 @@ class OptimizationResult:
     ``history`` holds (objective evaluations so far, best loss) pairs, one
     whenever the incumbent strictly improved, so the evaluation column
     increases and the loss column decreases.  ``evaluations`` counts
-    objective calls, including those spent on finite-difference gradients.
+    objective evaluations; in the refinement one evaluation yields a loss and
+    its gradient.
     """
 
     pulse: CompositePulse
@@ -126,13 +128,15 @@ class OptimizationResult:
 class _TrackedObjective:
     """Wraps a block objective with bounds enforcement and incumbent tracking.
 
-    The objective maps a (P, k) block of vectors to P losses.  Every row
-    counts as one evaluation, and the history is appended in row order.
+    The objective maps a (P, k) block of vectors to P losses, or to a pair
+    of the P losses and their (P, k) gradients, which is returned as it is.
+    Every row counts as one evaluation, and the history is appended in row
+    order.
     """
 
     def __init__(
         self,
-        func: Callable[[np.ndarray], np.ndarray],
+        func: Callable[[np.ndarray], Any],
         lower: np.ndarray,
         upper: np.ndarray,
     ):
@@ -144,18 +148,19 @@ class _TrackedObjective:
         self.best_f = np.inf
         self.history: list[tuple[int, float]] = []
 
-    def __call__(self, block: np.ndarray) -> np.ndarray:
+    def __call__(self, block: np.ndarray) -> Any:
         block = np.asarray(block, dtype=float)
         if np.any(block < self.lower) or np.any(block > self.upper):
             raise ValueError("objective evaluated outside its box bounds")
-        values = np.asarray(self.func(block), dtype=float)
-        for x, value in zip(block, values.tolist()):
+        result = self.func(block)
+        values = result[0] if isinstance(result, tuple) else result
+        for x, value in zip(block, np.asarray(values, dtype=float).tolist()):
             self.evaluations += 1
             if value < self.best_f:
                 self.best_f = value
                 self.best_x = x.copy()
                 self.history.append((self.evaluations, value))
-        return values
+        return result
 
 
 def finite_difference_gradient(
@@ -171,7 +176,8 @@ def finite_difference_gradient(
     evaluated in one block.  Coordinates closer than one step to a bound fall
     back to the one-sided three-point stencil of the same order, so bounded
     objectives may assume every probe is feasible.  Raises on non-finite
-    differences, naming the offending coordinate.
+    differences, naming the offending coordinate.  The refinement uses the
+    exact gradient; this is the reference the tests check it against.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -264,11 +270,15 @@ def _pulse_objective(
     layout: ParamLayout,
     target: TargetSpec,
     ensemble: OffsetEnsemble | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
+    *,
+    gradient: bool = False,
+) -> Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]]:
     """Map a (P, k) block of layout vectors to the P losses of their trains.
 
     ``layout.decode`` splits the block and ``ensemble_losses`` scores each row
-    over ``ensemble``, the nominal pulse alone when none is given.  The
+    over ``ensemble``, the nominal pulse alone when none is given.  With
+    ``gradient`` set, ``ensemble_gradients`` scores it and the objective
+    returns the losses with their (P, k) gradients in the layout's slots.  The
     template's pulses must share one Rabi rate, and one detuning unless the
     layout frees it.  A fixed detuning is eigendecomposed once, here; a free
     one once per distinct value in each block, in one batched ``eigh``.
@@ -287,9 +297,13 @@ def _pulse_objective(
         energies, vectors = (
             fixed if shared is None else drive_eigenpairs(cfg, shared, omega)
         )
-        return ensemble_losses(
-            cfg.cutoff, energies, vectors, durations, phases, target, ensemble
-        )
+        args = (cfg.cutoff, energies, vectors, durations, phases, target, ensemble)
+        if not gradient:
+            return ensemble_losses(*args)
+        losses, d_t, d_phi, d_delta = ensemble_gradients(*args)
+        # the first phase is the template's, not a slot
+        slots = [d_t, d_phi[:, 1:]] + ([] if shared is None else [d_delta[:, None]])
+        return losses, np.hstack(slots)
 
     return objective
 
@@ -328,25 +342,37 @@ def refine(
 ) -> OptimizationResult:
     """Bounded quasi-Newton descent from ``start``.
 
-    Gradients are finite differences of the exact objective.  The incumbent is
-    tracked across every evaluation, so the result is never worse than the
-    starting point.
+    L-BFGS-B takes the loss and its exact gradient from one call of the
+    objective, which counts as one evaluation.  A non-finite loss or gradient
+    raises ``FloatingPointError``.  The incumbent is tracked across every
+    evaluation, so the result is never worse than the starting point.
     """
     x0 = layout.pack(start)
     lower, upper = layout.slot_bounds()
     if not layout.contains(x0):
         raise ValueError("refinement start lies outside the layout bounds")
     tracked = _TrackedObjective(
-        _pulse_objective(cfg, start, layout, target, ensemble), lower, upper
+        _pulse_objective(cfg, start, layout, target, ensemble, gradient=True),
+        lower,
+        upper,
     )
 
-    def jac(x: np.ndarray) -> np.ndarray:
-        return finite_difference_gradient(tracked, x, _GRADIENT_STEP, lower, upper)
+    def value_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        (value,), (grad,) = tracked(x[None, :])
+        if not np.isfinite(value):
+            raise FloatingPointError(f"non-finite loss {value!r} at x={x.tolist()}")
+        bad = np.flatnonzero(~np.isfinite(grad))
+        if bad.size:
+            j = int(bad[0])
+            raise FloatingPointError(
+                f"non-finite gradient in coordinate {j} at x[{j}]={x[j]!r}"
+            )
+        return value, grad
 
     minimize(
-        lambda x: tracked(x[None, :])[0],
+        value_and_gradient,
         x0,
-        jac=jac,
+        jac=True,
         method="L-BFGS-B",
         bounds=list(zip(lower, upper)),
         options={

@@ -193,6 +193,35 @@ def train_product(
             f"durations {durations.shape} and phases {phases.shape} must both be "
             "(B, n) with n >= 1"
         )
+    if states is not None:
+        states = np.asarray(states, dtype=complex)
+        dim = vectors.shape[-1]
+        if states.ndim != 2 or states.shape[0] != dim:
+            raise ValueError(
+                f"states must be a ({dim}, k) block, got shape {states.shape}"
+            )
+    return _train_pass(cutoff, energies, vectors, durations, phases, states)[0]
+
+
+def _train_pass(
+    cutoff: int,
+    energies: np.ndarray,
+    vectors: np.ndarray,
+    durations: np.ndarray,
+    phases: np.ndarray,
+    states: np.ndarray | None = None,
+    entering: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``train_product`` on checked arrays, with its working.
+
+    Returns (block, decay, hinge): the result, the (B, n, dim) eigenphase
+    factors e^{-i w t_k} of every pulse, and the (B, n, dim) diagonals that
+    scale the rows between pulse k and pulse k + 1, Z_k Z_{k+1}^dagger, or
+    Z_k alone after the last pulse.  When ``entering`` is a list, the block
+    entering each pulse k is appended to it in that pulse's frame,
+    V^dagger Z_k^dagger times what pulses 0..k-1 made; the exact gradient in
+    ``robustness`` runs back over them.
+    """
     dim = vectors.shape[-1]
     adjoint = np.conj(np.swapaxes(vectors, -1, -2))
     # (B, n, dim) eigenphase factors and diagonals of Z of every pulse
@@ -202,22 +231,19 @@ def train_product(
     if states is None:
         block = adjoint * z[:, 0, None, :].conj()
     else:
-        states = np.asarray(states, dtype=complex)
-        if states.ndim != 2 or states.shape[0] != dim:
-            raise ValueError(
-                f"states must be a ({dim}, k) block, got shape {states.shape}"
-            )
         block = adjoint @ (z[:, 0, :, None].conj() * states)
     # Z_k of one pulse and Z_{k+1}^dagger of the next scale the rows together
     hinge = z.copy()
     hinge[:, :-1] *= z[:, 1:].conj()
     last = durations.shape[1] - 1
     for k in range(last + 1):
+        if entering is not None:
+            entering.append(block)
         block = vectors @ (decay[:, k, :, None] * block)
         block *= hinge[:, k, :, None]
         if k < last:
             block = adjoint @ block
-    return block
+    return block, decay, hinge
 
 
 def analytic_swap_parameters(eta: float, omega: float) -> CompositePulse:

@@ -11,6 +11,8 @@ grids of an ``OffsetEnsemble`` perturb it into.  A duration offset only
 changes the times and a phase offset only the phases of a train, so every
 member shares the drive of its pulse, and ``ensemble_losses`` scores a whole
 block of trains with all their members in one ``train_product`` call.
+``ensemble_gradients`` returns the same losses with their exact gradient,
+from one backward pass over the same eigenpairs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .fockspace import SystemConfig, check_integer, check_real
 from .objective import TargetSpec, excitation_profile, modulus_loss
 from .pulses import (
     CompositePulse,
+    _train_pass,
     composite_unitary,
     drive_eigenpairs,
     shared_drive,
@@ -39,6 +42,7 @@ __all__ = [
     "sweep",
     "robust_loss",
     "ensemble_losses",
+    "ensemble_gradients",
 ]
 
 
@@ -260,6 +264,29 @@ def sweep(
     )
 
 
+def _member_trains(
+    durations: np.ndarray, phases: np.ndarray, ensemble: OffsetEnsemble
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M,) weights and the (B * M, n) unclamped durations and phases of the
+    M members of each of B trains, train by train."""
+    rows, count = durations.shape
+    weights, dt, dphi = ensemble.offsets(count)
+    size = weights.size
+    t = (durations[:, None, :] + dt).reshape(rows * size, count)
+    phi = (phases[:, None, :] + dphi).reshape(rows * size, count)
+    return weights, t, phi
+
+
+def _soft_worst(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log-sum-exp of ``robust_loss`` over each row of weighted member
+    losses, and its derivative by each of them: the row's softmax."""
+    m = losses.max(axis=1)
+    s = _SHARPNESS
+    terms = np.exp(s * (losses - m[:, None]))
+    shares = terms / terms.sum(axis=1, keepdims=True)
+    return m + np.log(np.mean(terms, axis=1)) / s, shares
+
+
 def ensemble_losses(
     cutoff: int,
     energies: np.ndarray,
@@ -275,19 +302,100 @@ def ensemble_losses(
     the eigenpairs of the trains' drive, shared or one per row, as
     ``train_product`` takes them.
     """
-    rows, count = durations.shape
-    weights, dt, dphi = ensemble.offsets(count)
-    size = weights.size
-    t = np.maximum(durations[:, None, :] + dt, 0.0).reshape(rows * size, count)
-    phi = (phases[:, None, :] + dphi).reshape(rows * size, count)
+    weights, t, phi = _member_trains(durations, phases, ensemble)
     if energies.ndim == 2:  # one drive per train: every member shares it
-        energies = np.repeat(energies, size, axis=0)
-        vectors = np.repeat(vectors, size, axis=0)
-    u = train_product(cutoff, energies, vectors, t, phi)
-    losses = weights * modulus_loss(u, target).reshape(rows, size)
-    m = losses.max(axis=1)
-    s = _SHARPNESS
-    return m + np.log(np.mean(np.exp(s * (losses - m[:, None])), axis=1)) / s
+        energies = np.repeat(energies, weights.size, axis=0)
+        vectors = np.repeat(vectors, weights.size, axis=0)
+    u = train_product(cutoff, energies, vectors, np.maximum(t, 0.0), phi)
+    losses = weights * modulus_loss(u, target).reshape(-1, weights.size)
+    return _soft_worst(losses)[0]
+
+
+def ensemble_gradients(
+    cutoff: int,
+    energies: np.ndarray,
+    vectors: np.ndarray,
+    durations: np.ndarray,
+    phases: np.ndarray,
+    target: TargetSpec,
+    ensemble: OffsetEnsemble,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``ensemble_losses`` of B trains and its exact gradient, in one pass.
+
+    Takes the arguments of ``ensemble_losses`` and returns (losses,
+    d_durations, d_phases, d_delta): the (B,) losses, equal to those of
+    ``ensemble_losses`` bit for bit, and their derivatives by the (B, n)
+    durations, the (B, n) phases and the (B,) detunings of the trains' drives.
+
+    The pass runs each member's train forward, keeping the block entering
+    every pulse k, and then back from the loss's derivative by the
+    propagator, G = mask (|U| - T) U / (|U| L), which is set to 0 where
+    |U| = 0 (a kink of the loss) or L = 0.  Its cotangent in pulse k's frame,
+    M~_k = V^dagger Z_k^dagger (U_after^dagger G U_before^dagger) Z_k V, gives
+    every slot of that pulse, with E = V^dagger P_e V and e_a = e^{-i w_a t_k}:
+    d/dt_k = Re sum_a conj(M~_aa) (-i w_a) e_a; d/dphi_k =
+    Re sum_ab conj(M~_ab) i E_ab (e_b - e_a), from dP/dphi = i [P_e, P]; and
+    d/ddelta, from dH/ddelta = -P_e, sums -Re conj(M~_ab) Gamma_ab E_ab over
+    the pulses, where Gamma_ab = (e_a - e_b) / (w_a - w_b) is the
+    Daleckii-Krein divided difference, evaluated as
+    -i t e^{-i (w_a + w_b) t / 2} sinc((w_a - w_b) t / 2) so that it tends
+    to -i t e_a as w_b tends to w_a.  Members chain through their softmax
+    share of the log-sum-exp times their spec's weight, and a member whose
+    duration is clamped at 0 adds nothing to that pulse's d/dt.
+    """
+    rows, count = durations.shape
+    weights, t, phi = _member_trains(durations, phases, ensemble)
+    size = weights.size
+    adjoint = np.conj(np.swapaxes(vectors, -1, -2))
+    excited = adjoint[..., cutoff:] @ vectors[..., cutoff:, :]  # E = V^dagger P_e V
+    if energies.ndim == 2 and size > 1:  # every member shares its train's drive
+        energies, vectors, adjoint, excited = (
+            np.repeat(a, size, axis=0) for a in (energies, vectors, adjoint, excited)
+        )
+    live = t > 0.0
+    t = np.maximum(t, 0.0)
+    entering: list[np.ndarray] = []
+    u, decay, hinge = _train_pass(cutoff, energies, vectors, t, phi, entering=entering)
+    member = modulus_loss(u, target)
+    losses, shares = _soft_worst(weights * member.reshape(rows, size))
+
+    magnitude = np.abs(u)
+    scale = magnitude * member[:, None, None]
+    grad = np.divide(
+        (magnitude - target.modulus) * target.mask * u,
+        scale,
+        out=np.zeros_like(u),
+        where=scale > 0,
+    )
+    grad *= (shares * weights).reshape(-1, 1, 1)
+    # back through the train: y_k = V^dagger Z_k^dagger U_after^dagger G, and
+    # M~_k = y_k (V^dagger Z_k^dagger U_before)^dagger, (B * M, n, dim, dim)
+    tilde = np.empty(decay.shape + decay.shape[-1:], dtype=complex)
+    undecay, unhinge = decay[..., None].conj(), hinge[..., None].conj()
+    y = adjoint @ (unhinge[:, count - 1] * grad)
+    for k in range(count - 1, -1, -1):
+        if k < count - 1:
+            y = adjoint @ (unhinge[:, k] * (vectors @ (undecay[:, k + 1] * y)))
+        np.matmul(y, np.swapaxes(entering[k], -1, -2).conj(), out=tilde[:, k])
+
+    w = energies[..., None, :]
+    diagonal = np.diagonal(tilde, axis1=-2, axis2=-1)
+    d_t = np.real(np.sum(diagonal.conj() * (-1j * w * decay), axis=-1)) * live
+    gap = (energies[..., :, None] - energies[..., None, :])[..., None, :, :]
+    half = np.exp(-0.5j * w * t[..., None])
+    x = gap * (0.5 * t[..., None, None])
+    sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    gamma = half[..., :, None] * half[..., None, :] * (-1j * t[..., None, None] * sinc)
+    # i (e_b - e_a) = -i (w_a - w_b) Gamma_ab, so one product serves phi and delta
+    terms = tilde.conj() * excited[..., None, :, :] * gamma
+    d_phi = np.sum(gap * terms, axis=(-2, -1)).imag
+    d_delta = -np.sum(terms.real, axis=(-3, -2, -1))
+    return (
+        losses,
+        d_t.reshape(rows, size, count).sum(axis=1),
+        d_phi.reshape(rows, size, count).sum(axis=1),
+        d_delta.reshape(rows, size).sum(axis=1),
+    )
 
 
 def robust_loss(

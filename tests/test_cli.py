@@ -109,14 +109,14 @@ def test_parse_distribution_variants():
     [
         ({"populations": [0.5, 0.5], "first_fock": 1.7}, "first_fock must be"),
         ({"populations": [0.5, 0.5], "first_fock": "1"}, "first_fock must be"),
-        ({"thermal_nbar": "nan"}, "thermal_nbar must be a number"),
+        ({"thermal_nbar": "nan"}, "nbar must be a number"),
         ({"thermal_nbar": float("inf")}, "nbar must be finite"),
-        ({"thermal_nbar": None}, "thermal_nbar must be a number"),
+        ({"thermal_nbar": None}, "nbar must be a number"),
         ({"populations": [float("nan"), 1.0]}, "populations must be finite"),
         ({"populations": [0.5, None]}, "populations must be a number"),
         ({"populations": 0.5}, "'populations' must be a list"),
         (5, "'distribution' must be an object"),
-        ({"thermal_nbar": True}, "thermal_nbar must be a number"),
+        ({"thermal_nbar": True}, "nbar must be a number"),
         ({"populations": [True, False]}, "populations must be a number"),
     ],
 )
@@ -180,6 +180,19 @@ def test_evaluate_idempotent_and_cutoff_override(tmp_path, capsys):
     assert document["system"]["cutoff"] == 5
     assert len(document["modulus"]) == 10
     capsys.readouterr()
+
+
+def test_evaluate_entry_without_a_field_exits_two_naming_the_file(tmp_path, caplog):
+    out = tmp_path / "runs"
+    entry = _store_pulse(out, 0)
+    path = out / "library" / f"{entry.id}.json"
+    document = json.loads(path.read_text())
+    del document["loss"]
+    path.write_text(json.dumps(document))
+    code = main(["--quiet", "evaluate", "--pulse-file", str(path), "--out", str(out)])
+    assert code == 2
+    assert str(path) in caplog.text
+    assert "'loss'" in caplog.text
 
 
 def test_evaluate_requires_a_pulse_reference(tmp_path):
@@ -253,6 +266,24 @@ def test_thermometry_identical_pulses_exit_ill_conditioned(tmp_path):
     )
     code = main(["--quiet", "thermometry", "--config", str(cfg_path), "--out", str(out)])
     assert code == 4
+
+
+@pytest.mark.parametrize("pulse_ids", ["4b", 4, [1, 2], {"a": "b"}])
+def test_thermometry_pulse_ids_must_be_a_list_of_strings(tmp_path, caplog, pulse_ids):
+    out = tmp_path / "runs"
+    cfg_path = tmp_path / "run.json"
+    _write_config(
+        cfg_path,
+        thermometry={
+            "window": [0, 1],
+            "truth_cutoff": 15,
+            "distribution": {"thermal_nbar": 0.5},
+            "pulse_ids": pulse_ids,
+        },
+    )
+    code = main(["--quiet", "thermometry", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert "'pulse_ids' must be a list of strings" in caplog.text
 
 
 def test_thermometry_bad_distribution_exits_two(tmp_path):

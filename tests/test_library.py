@@ -106,3 +106,16 @@ def test_load_rejects_wrong_version_and_corruption(tmp_path):
     corrupt.write_text(json.dumps(document))
     with pytest.raises(ValueError, match="corrupt"):
         load_entry(corrupt)
+
+
+@pytest.mark.parametrize("key", ["system", "pulses", "target", "loss"])
+def test_load_names_the_file_and_a_missing_field(tmp_path, key):
+    path = save_entry(_entry(), tmp_path)
+    document = json.loads(path.read_text())
+    del document[key]
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError, match=f"{path.name}.* has no '{key}' field"):
+        load_entry(path)
+    path.write_text(json.dumps([document]))
+    with pytest.raises(ValueError, match="must hold a JSON object"):
+        load_entry(path)

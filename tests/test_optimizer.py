@@ -13,9 +13,12 @@ from fockpulse import (
     RefineConfig,
     SweepSpec,
     SystemConfig,
+    TargetSpec,
     composite_unitary,
     design_pulse,
     drive_eigenpairs,
+    ensemble_gradients,
+    ensemble_losses,
     modulus_loss,
     perturb,
     pso_search,
@@ -330,6 +333,169 @@ def test_gradient_raises_on_nonfinite_difference():
 
     with pytest.raises(FloatingPointError, match="coordinate 1"):
         finite_difference_gradient(_rows(func), np.array([0.5, 0.25]), 1e-6)
+
+
+# Three objectives for the exact gradient: (cfg, layout, template, target,
+# ensemble).  The robust one's -300 duration offset clamps members to zero.
+CLAMPING = OffsetEnsemble(
+    (
+        SweepSpec(axis="phase", lower=-0.5, upper=0.5, points=3),
+        SweepSpec(axis="duration", lower=-300.0, upper=40.0, points=4),
+        SweepSpec(axis="duration", lower=-5.0, upper=5.0, points=3, which=1),
+    ),
+    weights=(2.0, 1.0, 0.5),
+)
+GRADIENT_CASES = {
+    "weak-swap-c3": (CFG, LAYOUT, TEMPLATE, TARGET, None),
+    "strong-shelve-c6": (
+        SystemConfig(cutoff=6),
+        strong_drive_layout(4, eta=CFG.eta, omega=1.0),
+        uniform_pulse_train(4, delta=1.0, omega=1.0),
+        shelving_target(6, 0),
+        None,
+    ),
+    "robust-clamped-c3": (CFG, LAYOUT, TEMPLATE, TARGET, CLAMPING),
+}
+
+
+def _interior_points(layout, count, seed):
+    lower, upper = layout.slot_bounds()
+    rng = np.random.default_rng(seed)
+    return lower + (upper - lower) * (0.05 + 0.9 * rng.random((count, layout.dim)))
+
+
+@pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+def test_exact_gradient_matches_central_differences(case):
+    cfg, layout, template, target, ensemble = GRADIENT_CASES[case]
+    value = _pulse_objective(cfg, template, layout, target, ensemble)
+    exact = _pulse_objective(cfg, template, layout, target, ensemble, gradient=True)
+    lower, upper = layout.slot_bounds()
+    points = _interior_points(layout, 4, seed=len(case))
+    if ensemble is not None:
+        # a first pulse shorter than 300 is clamped at zero in some members
+        points[:, 0] *= 0.2
+        assert np.all(points[:, 0] < 300.0)
+    for x in points:
+        _, (grad,) = exact(x[None])
+        oracle = finite_difference_gradient(value, x, 1e-6, lower, upper)
+        # The bar, 2e-6 of the gradient's scale, is four times the oracle's
+        # own error: at step 1e-6 the central difference errs by up to 5e-7
+        # of that scale over 80 random points of each objective (rounding
+        # dominates in the weak ones, truncation in the strong one).
+        assert np.max(np.abs(grad - oracle)) <= 2e-6 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("case", sorted(GRADIENT_CASES))
+def test_exact_gradient_returns_the_ensemble_loss(case):
+    cfg, layout, template, target, ensemble = GRADIENT_CASES[case]
+    block = _interior_points(layout, 5, seed=2)
+    losses, grads = _pulse_objective(
+        cfg, template, layout, target, ensemble, gradient=True
+    )(block)
+    assert grads.shape == block.shape
+    assert losses.tolist() == _pulse_objective(
+        cfg, template, layout, target, ensemble
+    )(block).tolist()
+    # and the pass equals ``ensemble_losses`` on its own arguments, row by row
+    durations, phases, shared = layout.decode(block, template)
+    for i in range(len(block)):
+        delta = template[0].delta if shared is None else shared[i]
+        energies, vectors = drive_eigenpairs(cfg, delta, template[0].omega)
+        args = (
+            cfg.cutoff,
+            energies,
+            vectors,
+            durations[i : i + 1],
+            phases[i : i + 1],
+            target,
+            OffsetEnsemble(()) if ensemble is None else ensemble,
+        )
+        assert ensemble_gradients(*args)[0].tolist() == ensemble_losses(*args).tolist()
+
+
+def _diagonal_drive(energies):
+    """Eigenpairs of a diagonal drive: every train's propagator is exactly
+    diagonal, so its off-diagonal entries are exactly 0."""
+    return np.asarray(energies, dtype=float), np.eye(len(energies))
+
+
+def test_exact_gradient_at_the_kinks():
+    durations, phases = np.array([[3.0, 1.5, 2.0]]), np.array([[0.0, 0.4, 1.1]])
+    nominal = OffsetEnsemble(())
+    # swap(0) asks for |u| = 1 at two entries where u is exactly 0: a
+    # subgradient, finite, stands in for the undefined derivative there
+    energies, vectors = _diagonal_drive(np.arange(6) * 0.7)
+    args = (3, energies, vectors, durations, phases, TARGET, nominal)
+    losses, d_t, d_phi, d_delta = ensemble_gradients(*args)
+    assert losses.tolist() == ensemble_losses(*args).tolist()
+    assert losses[0] > 0
+    assert all(np.all(np.isfinite(part)) for part in (d_t, d_phi, d_delta))
+    # a zero-loss point: the identity propagator against the identity target
+    energies, vectors = _diagonal_drive(np.zeros(6))
+    identity = TargetSpec(modulus=np.eye(6), mask=np.ones((6, 6), dtype=bool))
+    losses, *grads = ensemble_gradients(
+        3, energies, vectors, durations, np.zeros_like(phases), identity, nominal
+    )
+    assert losses.tolist() == [0.0]
+    assert all(np.all(part == 0.0) for part in grads)
+
+
+def test_refine_raises_on_a_nonfinite_loss_or_gradient(monkeypatch):
+    start = LAYOUT.unpack(_interior_points(LAYOUT, 1, seed=0)[0], TEMPLATE)
+    nan_drive = (np.full(6, np.nan), np.eye(6))
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "drive_eigenpairs", lambda *args: nan_drive)
+        with pytest.raises(FloatingPointError, match="non-finite loss"):
+            refine(CFG, start, LAYOUT, TARGET, RefineConfig(max_iters=5))
+
+    def nan_slot(*args):
+        losses, d_t, d_phi, d_delta = ensemble_gradients(*args)
+        d_phi[:, 2] = np.nan  # the phase of pulse 2, slot 4 of the layout
+        return losses, d_t, d_phi, d_delta
+
+    monkeypatch.setattr(optimizer, "ensemble_gradients", nan_slot)
+    with pytest.raises(FloatingPointError, match="coordinate 4"):
+        refine(CFG, start, LAYOUT, TARGET, RefineConfig(max_iters=5))
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_refine_stays_in_the_box_and_counts_one_evaluation_per_call(
+    monkeypatch, strong
+):
+    omega = 1.0 if strong else 0.1
+    layout = (strong_drive_layout if strong else weak_drive_layout)(
+        3, eta=CFG.eta, omega=omega
+    )
+    template = uniform_pulse_train(3, delta=1.0, omega=omega)
+    target = shelving_target(3, 0) if strong else TARGET
+    lower, upper = layout.slot_bounds()
+    # start with a slot on each kind of edge: the longest first pulse, a
+    # phase at 0 and one at 2 pi, and the lowest detuning
+    x0 = _interior_points(layout, 1, seed=5)[0]
+    x0[0] = upper[0]
+    x0[layout.count : layout.count + 2] = (0.0, upper[layout.count + 1])
+    if strong:
+        x0[-1] = lower[-1]
+    start = layout.unpack(x0, template)
+    calls = []
+    build = optimizer._pulse_objective
+
+    def spy(*args, **kwargs):
+        objective = build(*args, **kwargs)
+
+        def counted(block):
+            calls.append(np.array(block))
+            return objective(block)
+
+        return counted
+
+    monkeypatch.setattr(optimizer, "_pulse_objective", spy)
+    result = refine(CFG, start, layout, target, RefineConfig(max_iters=30))
+    assert result.evaluations == len(calls) > 1
+    for block in calls:
+        assert block.shape == (1, layout.dim)
+        assert np.all(block >= lower) and np.all(block <= upper)
+    assert layout.contains(layout.pack(result.pulse))
 
 
 def test_tracked_objective_enforces_bounds_and_tracks_incumbent():
