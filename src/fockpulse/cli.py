@@ -1,9 +1,14 @@
 """Command-line front end: design, evaluate, thermometry, robustness.
 
-A run is described by a small JSON config (see README for the schema).  All
-numeric outputs land twice: a machine CSV with full float precision, and a
-three-decimal table on stdout.  Designed pulses go into a content-addressed
-library under the output directory so later commands can reuse them by id.
+A run is described by a small JSON config (see README for the schema).  Each
+command prints a three-decimal report and writes one JSON document with full
+float precision under the output directory: ``design-<id>.json`` (pulse
+records, loss, propagator modulus, excitation profile),
+``evaluate-<id>-c<cutoff>.json`` (modulus and profile at that cutoff),
+``thermometry.json`` (true, measured and corrected window populations,
+coefficient matrix, condition number) or ``robustness-<id>-<axis>.json``
+(offsets, probabilities, clamped offsets).  Designed pulses also go into a
+content-addressed library there, so later commands can reuse them by id.
 
 Exit codes: 0 success, 2 bad input, 3 design did not reach the loss
 threshold, 4 correction system too ill-conditioned to solve.
@@ -12,7 +17,6 @@ threshold, 4 correction system too ill-conditioned to solve.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -25,7 +29,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .fockspace import SystemConfig, check_integer, check_real
+from .fockspace import (
+    SystemConfig,
+    check_integer,
+    check_object,
+    check_real,
+    read_record,
+)
 from .library import PulseLibraryEntry, find_entry, load_entry, save_entry
 from .objective import TargetSpec, excitation_profile, shelving_target, swap_target
 from .optimizer import (
@@ -112,7 +122,7 @@ class RunConfig:
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "RunConfig":
-        _object("config", doc, _CONFIG_KEYS)
+        check_object("config", doc, _CONFIG_KEYS)
         version = doc.get("version")
         if version != _CONFIG_VERSION:
             raise ValueError(
@@ -121,7 +131,7 @@ class RunConfig:
         regime = doc.get("regime", "weak")
         if regime not in ("weak", "strong"):
             raise ValueError(f"regime must be 'weak' or 'strong', got {regime!r}")
-        system = _config_block(SystemConfig, doc, "system")
+        system = read_record(SystemConfig, "'system' block", doc.get("system", {}))
         pulse_count = _integer_key(doc, "pulse_count", 3)
         omega = WEAK_DRIVE_OMEGA if regime == "weak" else STRONG_DRIVE_OMEGA
         template = uniform_pulse_train(pulse_count, delta=1.0, omega=omega)
@@ -129,15 +139,15 @@ class RunConfig:
         layout = build_layout(pulse_count, eta=system.eta, omega=omega)
         preset = str(doc.get("target", "swap(0)"))
         target = parse_target(preset, system.cutoff)
-        pso = _config_block(PsoConfig, doc, "pso")
-        refine = _config_block(RefineConfig, doc, "refine")
+        pso = read_record(PsoConfig, "'pso' block", doc.get("pso", {}))
+        refine = read_record(RefineConfig, "'refine' block", doc.get("refine", {}))
         starts = _integer_key(doc, "starts", 4)
         refine_top = _integer_key(doc, "refine_top", 2)
         loss_threshold = doc.get("loss_threshold", 0.5)
         check_real("loss_threshold", loss_threshold)
         thermometry = doc.get("thermometry")
         if thermometry is not None:
-            _object("'thermometry'", thermometry, _THERMOMETRY_KEYS)
+            check_object("'thermometry'", thermometry, _THERMOMETRY_KEYS)
         return cls(
             system=system,
             regime=regime,
@@ -174,16 +184,6 @@ class RunConfig:
         return cls.from_document(doc)
 
 
-def _object(name: str, value: Any, keys: Sequence[str]) -> dict[str, Any]:
-    """``value``, which must be an object holding no key outside ``keys``."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be an object, got {value!r}")
-    unknown = [key for key in value if key not in keys]
-    if unknown:
-        raise ValueError(f"unknown keys in {name}: {', '.join(map(repr, unknown))}")
-    return value
-
-
 def _integer_key(doc: dict[str, Any], name: str, default: int) -> int:
     """The integer under ``name``; a float, bool or string is bad input."""
     value = doc.get(name, default)
@@ -191,15 +191,9 @@ def _integer_key(doc: dict[str, Any], name: str, default: int) -> int:
     return int(value)
 
 
-def _config_block(cls: type, doc: dict[str, Any], name: str) -> Any:
-    """Build ``cls`` from the config's ``name`` block, whose keys are its fields."""
-    keys = [field.name for field in dataclasses.fields(cls)]
-    return cls(**_object(f"'{name}' block", doc.get(name, {}), keys))
-
-
 def parse_distribution(spec: dict[str, Any], cutoff: int) -> PhononDistribution:
     """Distribution from a config block: thermal or explicit populations."""
-    _object("'distribution'", spec, _DISTRIBUTION_KEYS)
+    check_object("'distribution'", spec, _DISTRIBUTION_KEYS)
     if "thermal_nbar" in spec:
         return thermal_distribution(spec["thermal_nbar"], cutoff)
     if "populations" in spec:
@@ -221,30 +215,10 @@ def parse_distribution(spec: dict[str, Any], cutoff: int) -> PhononDistribution:
     )
 
 
-def _emit(
-    args: argparse.Namespace,
-    stem: str,
-    document: dict[str, Any],
-    header: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-) -> None:
-    """Write ``<stem>.csv`` (unless ``--format json``) and ``<stem>.json``.
-
-    CSV floats keep full precision; the JSON document is stamped with the
-    config version.
-    """
+def _emit(args: argparse.Namespace, stem: str, document: dict[str, Any]) -> None:
+    """Write ``document``, stamped with the config version, to ``<stem>.json``."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        path = out_dir / f"{stem}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(
-                [format(float(v), ".17g") if isinstance(v, float) else v for v in row]
-                for row in rows
-            )
-        log.info("wrote %s", path)
     path = out_dir / f"{stem}.json"
     document = {"version": _CONFIG_VERSION, **document}
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
@@ -264,6 +238,18 @@ def format_pulse_table(cp: CompositePulse) -> str:
             f"{k:5d}  {p.delta:6.3f}  {p.omega:6.3f}  {p.phi:6.3f}  {p.t:9.3f}"
         )
     return "\n".join(lines)
+
+
+def _propagator_report(system: SystemConfig, pulse: CompositePulse) -> dict[str, Any]:
+    """Print the train's propagator modulus and excitation profile, and return
+    them as document fields."""
+    unitary = composite_unitary(system, pulse)
+    modulus = np.abs(unitary)
+    profile = excitation_profile(unitary)
+    print("propagator modulus:")
+    print(format_matrix(modulus))
+    print("excitation profile:", " ".join(f"{v:.3f}" for v in profile))
+    return {"modulus": modulus.tolist(), "excitation_profile": profile.tolist()}
 
 
 def _load_pulse_arg(
@@ -326,8 +312,9 @@ def cmd_design(args: argparse.Namespace) -> int:
     )
     save_entry(entry, Path(args.out) / "library")
 
-    unitary = composite_unitary(rc.system, entry.pulse)
-    modulus = np.abs(unitary)
+    print(f"pulse id: {entry.id}")
+    print(f"loss: {result.loss:.6f}")
+    print(format_pulse_table(entry.pulse))
     _emit(
         args,
         f"design-{entry.id}",
@@ -338,29 +325,15 @@ def cmd_design(args: argparse.Namespace) -> int:
             "loss": result.loss,
             "evaluations": result.evaluations,
             "pulses": entry.pulse.to_dicts(),
-            "modulus": modulus.tolist(),
-            "excitation_profile": excitation_profile(unitary).tolist(),
+            **_propagator_report(rc.system, entry.pulse),
         },
-        ["pulse", "delta", "omega", "phi", "t"],
-        [[k, p.delta, p.omega, p.phi, p.t] for k, p in enumerate(entry.pulse)],
     )
-    print(f"pulse id: {entry.id}")
-    print(f"loss: {result.loss:.6f}")
-    print(format_pulse_table(entry.pulse))
-    print("propagator modulus:")
-    print(format_matrix(modulus))
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     entry, system = _load_pulse_arg(args)
-    unitary = composite_unitary(system, entry.pulse)
-    modulus = np.abs(unitary)
-    profile = excitation_profile(unitary)
-
-    labels = [f"g{n}" for n in system.fock_indices()] + [
-        f"e{n}" for n in system.fock_indices()
-    ]
+    print(f"pulse id: {entry.id} (target {entry.target}, cutoff {system.cutoff})")
     _emit(
         args,
         f"evaluate-{entry.id}-c{system.cutoff}",
@@ -369,16 +342,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "system": dataclasses.asdict(system),
             "target": entry.target,
             "design_loss": entry.loss,
-            "modulus": modulus.tolist(),
-            "excitation_profile": profile.tolist(),
+            **_propagator_report(system, entry.pulse),
         },
-        ["row"] + labels,
-        [[labels[i]] + [float(v) for v in modulus[i]] for i in range(len(labels))],
     )
-    print(f"pulse id: {entry.id} (target {entry.target}, cutoff {system.cutoff})")
-    print("propagator modulus:")
-    print(format_matrix(modulus))
-    print("excitation profile:", " ".join(f"{v:.3f}" for v in profile))
     return 0
 
 
@@ -439,8 +405,6 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
             "design_losses": result.design_losses,
             "pulses": [cp.to_dicts() for cp in result.pulses],
         },
-        ["fock", "true", "measured", "corrected"],
-        result.rows(),
     )
     print("fock      true  measured corrected")
     for n, p, m, r in result.rows():
@@ -482,8 +446,6 @@ def cmd_robustness(args: argparse.Namespace) -> int:
             "clamped_offsets": result.clamped_offsets,
             "microseconds_per_unit": MICROSECONDS_PER_UNIT,
         },
-        ["offset", "probability"],
-        result.points(),
     )
     print(f"pulse id: {entry.id}  axis: {args.axis}  probe: {probe.mode}({probe.fock})")
     print(f"offsets [{lower:.4g}, {upper:.4g}] in {args.points} points")
@@ -515,33 +477,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true", help="suppress progress logs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", default="runs", help="output directory (default: runs)")
-        p.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default="csv",
-            help="csv writes machine CSV plus the JSON document; json skips the CSV",
-        )
-
     p_design = sub.add_parser("design", help="optimize a pulse from a config file")
     p_design.add_argument("--config", required=True)
     p_design.add_argument("--seed", type=int, help="override the swarm seed")
     p_design.add_argument("--cutoff", type=int, help="override the design cutoff")
-    add_common(p_design)
     p_design.set_defaults(func=cmd_design)
 
     p_eval = sub.add_parser("evaluate", help="print a stored pulse's propagator")
     p_eval.add_argument("--pulse-id", help="library id (may be abbreviated)")
     p_eval.add_argument("--pulse-file", help="path to a pulse entry JSON")
     p_eval.add_argument("--cutoff", type=int, help="evaluate at a different cutoff")
-    add_common(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_thermo = sub.add_parser("thermometry", help="full readout-and-correct run")
     p_thermo.add_argument("--config", required=True)
     p_thermo.add_argument("--seed", type=int, help="override the swarm seed")
-    add_common(p_thermo)
     p_thermo.set_defaults(func=cmd_thermometry)
 
     p_rob = sub.add_parser("robustness", help="sweep timing or phase offsets")
@@ -558,8 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--probe", choices=("transfer", "excitation"), default="transfer"
     )
     p_rob.add_argument("--cutoff", type=int, help="evaluate at a different cutoff")
-    add_common(p_rob)
     p_rob.set_defaults(func=cmd_robustness)
+    for p in (p_design, p_eval, p_thermo, p_rob):
+        p.add_argument("--out", default="runs", help="output directory (default: runs)")
     return parser
 
 

@@ -12,16 +12,20 @@ so ``nu`` defaults to 1 and detunings/Rabi rates are in units of ``nu``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any, Sequence
 
 import numpy as np
 
 __all__ = [
     "check_integer",
     "check_real",
+    "check_object",
+    "read_record",
     "SystemConfig",
     "displacement_exponential",
     "build_hamiltonian",
@@ -45,6 +49,31 @@ def check_real(name: str, value: object) -> None:
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_object(
+    name: str, value: object, keys: Sequence[str], required: Sequence[str] = ()
+) -> dict[str, Any]:
+    """``value``, which must be a JSON object holding no key outside ``keys``
+    and every key in ``required``; otherwise ValueError naming ``name``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown keys in {name}: {', '.join(map(repr, unknown))}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{name} has no {key!r} field")
+    return value
+
+
+def read_record(cls: type, name: str, value: object) -> Any:
+    """The dataclass ``cls`` built from the outside JSON object ``value``,
+    whose keys are its fields; a field without a default is required."""
+    fields = dataclasses.fields(cls)
+    unset = dataclasses.MISSING
+    required = [f.name for f in fields if f.default is f.default_factory is unset]
+    return cls(**check_object(name, value, [f.name for f in fields], required))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
-from .fockspace import SystemConfig
+from .fockspace import SystemConfig, check_object, check_real, read_record
 from .pulses import CompositePulse
 
 __all__ = [
@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 _SCHEMA_VERSION = 1
+
+# The fields an entry document may hold (``save_entry`` writes them all), and
+# those it must hold.
+_ENTRY_KEYS = ("version", "id", "system", "target", "pulses", "loss", "meta", "created")
+_REQUIRED_KEYS = ("system", "pulses", "target", "loss")
 
 
 @dataclass
@@ -89,38 +94,41 @@ def save_entry(entry: PulseLibraryEntry, library_dir: Path | str) -> Path:
 
 
 def load_entry(path: Path | str) -> PulseLibraryEntry:
-    """Read an entry back; validates schema version and content key.
+    """Read an entry back; validates its fields, schema version and content key.
 
-    A document that is not an object, or lacks a field, raises ValueError
+    Bad input of any kind (invalid JSON, a document or block that is not an
+    object, an unknown or missing field, a bad value) raises ValueError
     naming the file.
     """
-    document = json.loads(Path(path).read_text())
+    try:
+        return _read_entry(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"pulse entry {path}: {exc}") from exc
+
+
+def _read_entry(document: Any) -> PulseLibraryEntry:
     if not isinstance(document, dict):
-        raise ValueError(f"pulse entry {path} must hold a JSON object")
+        raise ValueError("must hold a JSON object")
+    check_object("the document", document, _ENTRY_KEYS, _REQUIRED_KEYS)
     version = document.get("version")
     if version != _SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported pulse-library schema version {version!r} in {path}"
-        )
-    for key in ("system", "pulses", "target", "loss"):
-        if key not in document:
-            raise ValueError(f"pulse entry {path} has no {key!r} field")
-    system = SystemConfig(**document["system"])
+        raise ValueError(f"unsupported pulse-library schema version {version!r}")
+    system = read_record(SystemConfig, "'system'", document["system"])
     pulse = CompositePulse.from_dicts(document["pulses"])
     target = document["target"]
+    loss = document["loss"]
+    check_real("loss", loss)
+    meta = document.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"'meta' must be an object, got {meta!r}")
     stored_id = document.get("id")
     actual_id = entry_id(system, target, pulse)
     if stored_id != actual_id:
         raise ValueError(
-            f"pulse entry {path} is corrupt: stored id {stored_id!r} "
-            f"does not match content id {actual_id!r}"
+            f"corrupt: stored id {stored_id!r} does not match content id {actual_id!r}"
         )
     return PulseLibraryEntry(
-        system=system,
-        target=target,
-        pulse=pulse,
-        loss=float(document["loss"]),
-        meta=dict(document.get("meta", {})),
+        system=system, target=target, pulse=pulse, loss=float(loss), meta=dict(meta)
     )
 
 

@@ -203,13 +203,18 @@ def finite_difference_gradient(
         (f1 - f2) / (2.0 * step),
         sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * step),
     )
+    _check_finite_gradient(grad, x)
+    return grad
+
+
+def _check_finite_gradient(grad: np.ndarray, x: np.ndarray) -> None:
+    """Raise FloatingPointError naming the first non-finite coordinate of ``grad``."""
     bad = np.flatnonzero(~np.isfinite(grad))
     if bad.size:
         j = int(bad[0])
         raise FloatingPointError(
             f"non-finite gradient in coordinate {j} at x[{j}]={x[j]!r}"
         )
-    return grad
 
 
 def _finite_or_inf(values: np.ndarray) -> np.ndarray:
@@ -361,12 +366,7 @@ def refine(
         (value,), (grad,) = tracked(x[None, :])
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite loss {value!r} at x={x.tolist()}")
-        bad = np.flatnonzero(~np.isfinite(grad))
-        if bad.size:
-            j = int(bad[0])
-            raise FloatingPointError(
-                f"non-finite gradient in coordinate {j} at x[{j}]={x[j]!r}"
-            )
+        _check_finite_gradient(grad, x)
         return value, grad
 
     minimize(

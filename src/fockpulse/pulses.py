@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .fockspace import (
     check_integer,
     check_real,
     propagate,
+    read_record,
 )
 
 __all__ = [
@@ -120,8 +121,16 @@ class CompositePulse:
         ]
 
     @classmethod
-    def from_dicts(cls, records: Sequence[Mapping[str, float]]) -> "CompositePulse":
-        return cls(tuple(PulseParams(**dict(r)) for r in records))
+    def from_dicts(cls, records: Sequence[Any]) -> "CompositePulse":
+        """Train from records as ``to_dicts`` writes them, read as outside input."""
+        if not isinstance(records, (list, tuple)):
+            raise ValueError(f"pulse records must be a list, got {records!r}")
+        return cls(
+            tuple(
+                read_record(PulseParams, f"pulse record {k}", r)
+                for k, r in enumerate(records)
+            )
+        )
 
 
 def composite_unitary(cfg: SystemConfig, cp: CompositePulse) -> np.ndarray:

@@ -172,9 +172,6 @@ class SweepResult:
     probabilities: np.ndarray
     clamped_offsets: list[float]
 
-    def points(self) -> list[tuple[float, float]]:
-        return [(float(o), float(p)) for o, p in zip(self.offsets, self.probabilities)]
-
     def widest_window(self, floor: float) -> tuple[float, float] | None:
         """Longest contiguous run of sampled offsets with probability >= floor."""
         best: tuple[float, float] | None = None

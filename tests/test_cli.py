@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import json
 import logging
 import re
@@ -139,10 +140,12 @@ def test_design_command_round_trip(tmp_path, capsys):
     library = sorted((out / "library").glob("*.json"))
     assert len(library) == 1
     assert library[0].stem == pulse_id
-    assert (out / f"design-{pulse_id}.csv").exists()
+    # one document per command: nothing besides it and the library entry
+    assert sorted(p.name for p in out.iterdir()) == [f"design-{pulse_id}.json", "library"]
     document = json.loads((out / f"design-{pulse_id}.json").read_text())
     assert len(document["modulus"]) == 6
     assert len(document["pulses"]) == 3
+    assert document["pulses"] == json.loads(library[0].read_text())["pulses"]
     assert document["loss"] < 2.0
 
 
@@ -166,11 +169,11 @@ def test_evaluate_idempotent_and_cutoff_override(tmp_path, capsys):
 
     code = main(["--quiet", "evaluate", "--pulse-id", entry.id[:8], "--out", str(out)])
     assert code == 0
-    first = (out / f"evaluate-{entry.id}-c3.csv").read_bytes()
+    first = (out / f"evaluate-{entry.id}-c3.json").read_bytes()
 
     code = main(["--quiet", "evaluate", "--pulse-id", entry.id[:8], "--out", str(out)])
     assert code == 0
-    assert (out / f"evaluate-{entry.id}-c3.csv").read_bytes() == first
+    assert (out / f"evaluate-{entry.id}-c3.json").read_bytes() == first
 
     code = main(
         ["--quiet", "evaluate", "--pulse-id", entry.id, "--cutoff", "5", "--out", str(out)]
@@ -200,25 +203,46 @@ def test_evaluate_requires_a_pulse_reference(tmp_path):
     assert code == 2
 
 
-def test_format_json_skips_csv(tmp_path, capsys):
+def test_format_option_is_gone(tmp_path, capsys):
     out = tmp_path / "runs"
     entry = _store_pulse(out, 0)
-    code = main(
-        [
-            "--quiet",
-            "evaluate",
-            "--pulse-id",
-            entry.id,
-            "--out",
-            str(out),
-            "--format",
-            "json",
-        ]
-    )
-    assert code == 0
-    assert not (out / f"evaluate-{entry.id}-c3.csv").exists()
-    assert (out / f"evaluate-{entry.id}-c3.json").exists()
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--pulse-id", entry.id, "--out", str(out), "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not list(out.glob("evaluate-*"))
+
+
+# Malformed library entries: the change to a stored entry, and the field the
+# error must name.
+PULSE = {"delta": 1.0, "omega": 0.1, "phi": 0.0, "t": 50.0}
+MALFORMED_ENTRIES = {
+    "system-unknown-key": ({"system": {"cutof": 3}}, "'cutof'"),
+    "system-not-object": ({"system": [1]}, "'system'"),
+    "pulse-unknown-key": ({"pulses": [{**PULSE, "delt": 1.0}]}, "'delt'"),
+    "pulse-missing-t": ({"pulses": [{k: v for k, v in PULSE.items() if k != "t"}]}, "'t'"),
+    "pulses-not-list": ({"pulses": PULSE}, "pulse records"),
+    "loss-null": ({"loss": None}, "loss"),
+    "loss-bool": ({"loss": True}, "loss"),
+    "meta-not-object": ({"meta": 5}, "'meta'"),
+}
+
+
+@pytest.mark.parametrize(
+    "change, field", MALFORMED_ENTRIES.values(), ids=list(MALFORMED_ENTRIES)
+)
+def test_evaluate_malformed_entry_exits_two_naming_file_and_field(
+    tmp_path, caplog, capsys, change, field
+):
+    out = tmp_path / "runs"
+    entry = _store_pulse(out, 0)
+    path = out / "library" / f"{entry.id}.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    code = main(["--quiet", "evaluate", "--pulse-file", str(path), "--out", str(out)])
+    assert code == 2
+    assert str(path) in caplog.text
+    assert field in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
 
 
 def test_thermometry_command_with_stored_pulses(tmp_path, capsys):
@@ -245,9 +269,8 @@ def test_thermometry_command_with_stored_pulses(tmp_path, capsys):
     corrected = np.array(document["corrected"])
     measured = np.array(document["measured"])
     assert np.allclose(coeff @ corrected, measured, atol=1e-12)
-    lines = (out / "thermometry.csv").read_text().splitlines()
-    assert lines[0] == "fock,true,measured,corrected"
-    assert len(lines) == 3
+    assert len(document["true"]) == len(document["measured"]) == 2
+    assert not list(out.glob("*.csv"))
     capsys.readouterr()
 
 
@@ -329,10 +352,10 @@ def test_robustness_command_writes_sweep(tmp_path, capsys):
         ]
     )
     assert code == 0
-    lines = (out / f"robustness-{entry.id}-duration.csv").read_text().splitlines()
-    assert lines[0] == "offset,probability"
-    assert len(lines) == 12
+    assert not list(out.glob("*.csv"))
     document = json.loads((out / f"robustness-{entry.id}-duration.json").read_text())
+    assert document["offsets"] == np.linspace(-5, 5, 11).tolist()
+    assert len(document["probabilities"]) == 11
     assert document["microseconds_per_unit"] == pytest.approx(1.0 / (2 * np.pi))
     probabilities = np.array(document["probabilities"])
     assert np.all(probabilities >= 0) and np.all(probabilities <= 1)
@@ -524,6 +547,20 @@ def test_design_logs_progress_through_logging(tmp_path, caplog, capsys):
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_line_names_exactly_the_parser_flags():
+    section = README.read_text().split("## Command line\n")[1].split("\n## ")[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = cli.build_parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    actions = parser._actions + [
+        a for p in commands.choices.values() for a in p._actions
+    ]
+    flags = {o for a in actions for o in a.option_strings if o.startswith("--")}
+    assert documented == flags - {"--help"}
 
 
 def _readme_config() -> dict:

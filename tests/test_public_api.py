@@ -56,6 +56,9 @@ def test_retired_names_are_gone():
     assert not hasattr(robustness.OffsetEnsemble, "members")
     assert not hasattr(objective.TargetSpec, "dim")
     assert not hasattr(cli, "DesignFailure")
+    assert not hasattr(robustness.SweepResult, "points")
+    # outside JSON becomes a record in one place, fockspace.read_record
+    assert not hasattr(cli, "_object") and not hasattr(cli, "_config_block")
     # the conjugate displacement (the old ``sign=-1``) is no longer offered
     assert list(inspect.signature(fockspace.displacement_exponential).parameters) == [
         "cfg"

@@ -64,6 +64,23 @@ class TestCompositePulse:
         for a, b in zip(cp.canonical(), back):
             assert (a.delta, a.omega, a.phi, a.t) == (b.delta, b.omega, b.phi, b.t)
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ({"t": 1.0}, "pulse records must be a list"),
+            ([[1.0, 0.1, 0.0, 5.0]], "pulse record 0 must be an object"),
+            ([{"delta": 1.0, "omega": 0.1, "phi": 0.0}], "pulse record 0 has no 't'"),
+            (
+                [{"delta": 1.0, "omega": 0.1, "phi": 0.0, "t": 5.0, "tt": 1.0}],
+                "unknown keys in pulse record 0: 'tt'",
+            ),
+            ([{"delta": 1.0, "omega": 0.1, "phi": None, "t": 5.0}], "phi must be a number"),
+        ],
+    )
+    def test_from_dicts_rejects_malformed_records(self, records, message):
+        with pytest.raises(ValueError, match=message):
+            CompositePulse.from_dicts(records)
+
 
 class TestUniformPulseTrain:
     @pytest.mark.parametrize("count", [2.5, True])
