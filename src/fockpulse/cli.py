@@ -58,7 +58,6 @@ from .robustness import SweepSpec, TransitionProbe, sweep
 from .thermometry import (
     IllConditionedError,
     PhononDistribution,
-    ThermometryError,
     run_thermometry,
     thermal_distribution,
 )
@@ -526,7 +525,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IllConditionedError as exc:
         log.error("%s", exc)
         return 4
-    except (ValueError, OSError, ThermometryError) as exc:
+    except (ValueError, OSError) as exc:
         log.error("%s", exc)
         return 2
 

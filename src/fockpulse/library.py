@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,6 +33,10 @@ _SCHEMA_VERSION = 1
 # those it must hold.
 _ENTRY_KEYS = ("version", "id", "system", "target", "pulses", "loss", "meta", "created")
 _REQUIRED_KEYS = ("system", "pulses", "target", "loss")
+
+# A content key or a prefix of one; ``find_entry`` globs with it, so nothing
+# else (a glob or path character, an empty string) may pass.
+_KEY_RE = re.compile(r"[0-9a-f]{1,16}")
 
 
 @dataclass
@@ -116,6 +121,8 @@ def _read_entry(document: Any) -> PulseLibraryEntry:
     system = read_record(SystemConfig, "'system'", document["system"])
     pulse = CompositePulse.from_dicts(document["pulses"])
     target = document["target"]
+    if not isinstance(target, str):
+        raise ValueError(f"'target' must be a string, got {target!r}")
     loss = document["loss"]
     check_real("loss", loss)
     meta = document.get("meta", {})
@@ -133,7 +140,12 @@ def _read_entry(document: Any) -> PulseLibraryEntry:
 
 
 def find_entry(library_dir: Path | str, key: str) -> Path:
-    """Resolve a (possibly abbreviated) content key to an entry path."""
+    """Resolve a (possibly abbreviated) content key to an entry path.
+
+    ``key`` must be 1 to 16 lowercase hex digits, else ValueError.
+    """
+    if not _KEY_RE.fullmatch(key):
+        raise ValueError(f"pulse id must be 1 to 16 lowercase hex digits, got {key!r}")
     library_dir = Path(library_dir)
     matches = sorted(library_dir.glob(f"{key}*.json"))
     if not matches:

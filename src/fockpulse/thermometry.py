@@ -10,6 +10,11 @@ space.  On the window the two spaces give nearly the same profiles, so the
 solve undoes the mixing among the window states and nothing more: population
 outside the window still excites the pulses and adds to M, which the square
 system cannot see, and it remains as the error of the corrected populations.
+
+``run_thermometry`` is one straight path: it checks the window against the
+truth space and the design space, then designs (unless pulses are supplied),
+builds the coefficients, measures and solves.  An error of any stage reaches
+the caller as it was raised.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .fockspace import SystemConfig, check_integer, check_real
 from .objective import excitation_profile, shelving_target
-from .optimizer import OptimizationResult, PsoConfig, RefineConfig, design_pulse
+from .optimizer import PsoConfig, RefineConfig, design_pulse
 from .pulses import (
     CompositePulse,
     ParamLayout,
@@ -35,10 +40,8 @@ __all__ = [
     "PhononDistribution",
     "thermal_distribution",
     "IllConditionedError",
-    "ThermometryError",
     "ThermometryResult",
     "coefficient_matrix",
-    "profiles_to_coefficients",
     "simulate_measurements",
     "correct_populations",
     "run_thermometry",
@@ -57,14 +60,6 @@ class IllConditionedError(ValueError):
             f"coefficient matrix is ill-conditioned "
             f"(condition number {condition_number:.3e} > {CONDITION_LIMIT:.0e})"
         )
-
-
-class ThermometryError(RuntimeError):
-    """Wraps a failure inside one stage of the readout workflow."""
-
-    def __init__(self, stage: str, cause: BaseException):
-        self.stage = stage
-        super().__init__(f"thermometry stage {stage!r} failed: {cause}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +115,12 @@ def thermal_distribution(nbar: float, cutoff: int) -> PhononDistribution:
     return PhononDistribution(populations=populations)
 
 
-def _window_states(window: Sequence[int]) -> list[int]:
-    """``window`` as a list; it must hold distinct integers, at least one."""
+def _window_columns(cfg: SystemConfig, window: Sequence[int], space: str) -> list[int]:
+    """Profile column of each window state in the space ``cfg`` retains.
+
+    The window must hold distinct integers, at least one, each inside
+    [fock_offset, fock_offset + cutoff); the error names ``space``.
+    """
     window = list(window)
     if not window:
         raise ValueError("window must hold at least one state")
@@ -129,44 +128,32 @@ def _window_states(window: Sequence[int]) -> list[int]:
         check_integer("window state", n)
     if len(window) != len(set(window)):
         raise ValueError(f"window states must be distinct, got {window}")
-    return [int(n) for n in window]
-
-
-def profiles_to_coefficients(
-    profiles: np.ndarray, window: Sequence[int], fock_offset: int = 0
-) -> np.ndarray:
-    """Coefficient matrix from per-pulse excitation profiles.
-
-    Row m, column n holds the probability that pulse m excites the window's
-    n-th Fock state.  ``window`` uses absolute Fock indices; ``fock_offset``
-    translates them into profile positions.
-    """
-    profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
-    window = _window_states(window)
-    if profiles.shape[0] != len(window):
+    lo, hi = cfg.fock_offset, cfg.fock_offset + cfg.cutoff
+    outside = [int(n) for n in window if not lo <= n < hi]
+    if outside:
         raise ValueError(
-            f"got {profiles.shape[0]} profiles for a window of {len(window)} states"
+            f"window states {outside} lie outside the {space} space [{lo}, {hi})"
         )
-    cols = []
-    for n in window:
-        rel = n - fock_offset
-        if not 0 <= rel < profiles.shape[1]:
-            raise ValueError(
-                f"window state {n} lies outside the design space "
-                f"[{fock_offset}, {fock_offset + profiles.shape[1]})"
-            )
-        cols.append(rel)
-    return profiles[:, cols].copy()
+    return [int(n) - lo for n in window]
 
 
 def coefficient_matrix(
     cfg: SystemConfig, pulses: Sequence[CompositePulse], window: Sequence[int]
 ) -> np.ndarray:
-    """Excitation coefficients of ``pulses`` over ``window`` at design cutoff."""
+    """Excitation coefficients of ``pulses`` over ``window`` at design cutoff.
+
+    Row m, column n holds the probability that pulse m excites the window's
+    n-th Fock state; ``window`` uses absolute Fock indices.
+    """
     profiles = np.array(
         [excitation_profile(composite_unitary(cfg, cp)) for cp in pulses]
     )
-    return profiles_to_coefficients(profiles, window, cfg.fock_offset)
+    columns = _window_columns(cfg, window, "design")
+    if len(pulses) != len(columns):
+        raise ValueError(
+            f"got {len(pulses)} pulses for a window of {len(columns)} states"
+        )
+    return profiles[:, columns]
 
 
 def _check_truth(cfg_truth: SystemConfig, dist: PhononDistribution) -> None:
@@ -283,74 +270,48 @@ def run_thermometry(
 
     ``cfg_truth`` must anchor at Fock 0 and cover the window; it plays the
     role of reality, so the distribution lives on it, one entry per truth
-    level.  Those conditions raise ValueError before the design stage.
-    Passing ``pulses`` skips the design stage, which is how library or
-    published pulses enter.  Any failure of a stage is re-raised as
-    ThermometryError naming the stage.
+    level.  Those conditions, and a window state outside the truth or the
+    design space, raise ValueError before the design stage.  Passing
+    ``pulses`` skips the design stage, which is how library or published
+    pulses enter.
     """
-    window = _window_states(window)
     if cfg_truth.fock_offset != 0:
         raise ValueError("truth space must start at Fock index 0")
     _check_truth(cfg_truth, dist)
-    outside = [n for n in window if not 0 <= n < cfg_truth.cutoff]
-    if outside:
-        raise ValueError(
-            f"window states {outside} lie outside the truth space "
-            f"[0, {cfg_truth.cutoff})"
-        )
+    # The truth space starts at Fock 0, so its columns are the window states.
+    window = _window_columns(cfg_truth, window, "truth")
+    design_columns = _window_columns(cfg_design, window, "design")
 
-    design_losses: list[float] = []
     if pulses is None:
-        designed: list[CompositePulse] = []
-        for n in window:
-            try:
-                target = shelving_target(cfg_design.cutoff, n - cfg_design.fock_offset)
-                result: OptimizationResult = design_pulse(
-                    cfg_design,
-                    template,
-                    layout,
-                    target,
-                    pcfg,
-                    rcfg,
-                    starts=starts,
-                    refine_top=refine_top,
-                )
-            except Exception as exc:
-                raise ThermometryError(f"design[{n}]", exc) from exc
-            designed.append(result.pulse)
-            design_losses.append(result.loss)
-        pulses = designed
+        results = [
+            design_pulse(
+                cfg_design,
+                template,
+                layout,
+                shelving_target(cfg_design.cutoff, column),
+                pcfg,
+                rcfg,
+                starts=starts,
+                refine_top=refine_top,
+            )
+            for column in design_columns
+        ]
+        pulses = [r.pulse for r in results]
+        design_losses = [r.loss for r in results]
     else:
         pulses = list(pulses)
-        if len(pulses) != len(window):
-            raise ValueError(
-                f"got {len(pulses)} pulses for a window of {len(window)} states"
-            )
         design_losses = [float("nan")] * len(window)
 
-    try:
-        coeff = coefficient_matrix(cfg_design, pulses, window)
-    except Exception as exc:
-        raise ThermometryError("coefficients", exc) from exc
-    try:
-        measured = simulate_measurements(cfg_truth, pulses, dist)
-    except Exception as exc:
-        raise ThermometryError("measurement", exc) from exc
-    try:
-        corrected, condition = correct_populations(coeff, measured)
-    except IllConditionedError:
-        raise
-    except Exception as exc:
-        raise ThermometryError("correction", exc) from exc
-
-    truth = np.array([dist.populations[n] for n in window])
+    coeff = coefficient_matrix(cfg_design, pulses, window)
+    measured = simulate_measurements(cfg_truth, pulses, dist)
+    corrected, condition = correct_populations(coeff, measured)
     return ThermometryResult(
         window=window,
-        truth=truth,
+        truth=dist.populations[window],
         measured=measured,
         corrected=corrected,
         condition_number=condition,
         coeff=coeff,
-        pulses=list(pulses),
+        pulses=pulses,
         design_losses=design_losses,
     )

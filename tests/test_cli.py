@@ -12,9 +12,12 @@ import pytest
 from fockpulse import (
     CompositePulse,
     PulseParams,
+    SweepSpec,
     SystemConfig,
+    TransitionProbe,
     save_entry,
     shelving_target,
+    sweep,
 )
 from fockpulse import cli, thermometry
 from fockpulse.cli import RunConfig, main, parse_distribution, parse_target
@@ -309,6 +312,24 @@ def test_thermometry_pulse_ids_must_be_a_list_of_strings(tmp_path, caplog, pulse
     assert "'pulse_ids' must be a list of strings" in caplog.text
 
 
+def test_thermometry_pulse_id_that_is_not_hex_exits_two(tmp_path, caplog):
+    out = tmp_path / "runs"
+    _store_pulse(out, 0)  # an empty id must not resolve to the sole entry
+    cfg_path = tmp_path / "run.json"
+    _write_config(
+        cfg_path,
+        thermometry={
+            "window": [0],
+            "truth_cutoff": 15,
+            "distribution": {"thermal_nbar": 0.5},
+            "pulse_ids": [""],
+        },
+    )
+    code = main(["--quiet", "thermometry", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert "1 to 16 lowercase hex digits" in caplog.text
+
+
 def test_thermometry_bad_distribution_exits_two(tmp_path):
     out = tmp_path / "runs"
     cfg_path = tmp_path / "run.json"
@@ -362,6 +383,33 @@ def test_robustness_command_writes_sweep(tmp_path, capsys):
     out_text = capsys.readouterr().out
     assert "probability at zero offset" in out_text
     assert "0.99" in out_text  # the >= 0.99 window (or its absence) is reported
+
+
+def _robustness(out, entry, *extra) -> int:
+    return main(
+        ["--quiet", "robustness", "--pulse-id", entry.id, "--range", "-5", "5"]
+        + ["--points", "11", "--out", str(out), *extra]
+    )
+
+
+def test_robustness_which_sweeps_one_pulse(tmp_path):
+    out = tmp_path / "runs"
+    entry = _store_pulse(out, 0)
+    assert _robustness(out, entry, "--axis", "duration", "--which", "1") == 0
+    document = json.loads((out / f"robustness-{entry.id}-duration.json").read_text())
+    assert document["which"] == 1
+    spec = SweepSpec(axis="duration", lower=-5.0, upper=5.0, points=11, which=1)
+    expected = sweep(entry.system, entry.pulse, spec, TransitionProbe(fock=0))
+    assert document["probabilities"] == expected.probabilities.tolist()
+
+
+@pytest.mark.parametrize(
+    "which, axis", [("0", "phase"), ("9", "duration"), ("x", "duration")]
+)
+def test_robustness_bad_which_exits_two(tmp_path, which, axis):
+    out = tmp_path / "runs"
+    entry = _store_pulse(out, 0)
+    assert _robustness(out, entry, "--axis", axis, "--which", which) == 2
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,17 @@ def test_find_entry_resolves_abbreviations(tmp_path):
         find_entry(tmp_path, "ffff")
 
 
+@pytest.mark.parametrize(
+    "key", ["", "?", "[0-9a-f]", "**", "sub/{prefix}", "ABC", "0" * 17]
+)
+def test_find_entry_accepts_only_hex_prefixes(tmp_path, key):
+    entry = _entry()
+    save_entry(entry, tmp_path)
+    save_entry(entry, tmp_path / "sub")
+    with pytest.raises(ValueError, match="1 to 16 lowercase hex digits"):
+        find_entry(tmp_path, key.format(prefix=entry.id[:6]))
+
+
 def test_find_entry_rejects_ambiguous_prefix(tmp_path):
     first = _entry()
     save_entry(first, tmp_path)
@@ -118,4 +129,17 @@ def test_load_names_the_file_and_a_missing_field(tmp_path, key):
         load_entry(path)
     path.write_text(json.dumps([document]))
     with pytest.raises(ValueError, match="must hold a JSON object"):
+        load_entry(path)
+
+
+@pytest.mark.parametrize("target", [5, None, {"a": 1}])
+def test_load_requires_a_string_target(tmp_path, target):
+    entry = _entry()
+    path = save_entry(entry, tmp_path)
+    document = json.loads(path.read_text())
+    document["target"] = target
+    # the stored id matches the content, so only the target check can fail
+    document["id"] = entry_id(entry.system, target, entry.pulse)
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError, match="'target' must be a string"):
         load_entry(path)

@@ -25,6 +25,8 @@ RETIRED = (
     "list_entries",
     "ladder_operators",
     "train_states",
+    "ThermometryError",
+    "profiles_to_coefficients",
 )
 
 

@@ -11,13 +11,11 @@ from fockpulse import (
     PulseParams,
     RefineConfig,
     SystemConfig,
-    ThermometryError,
     build_hamiltonian,
     coefficient_matrix,
     composite_unitary,
     correct_populations,
     excitation_profile,
-    profiles_to_coefficients,
     run_thermometry,
     simulate_measurements,
     thermal_distribution,
@@ -86,26 +84,22 @@ def test_thermal_distribution_edge_cases():
             thermal_distribution(nbar, 5)
 
 
-def test_profiles_to_coefficients_selects_window_columns():
-    profiles = np.array(
-        [
-            [0.9, 0.05, 0.03, 0.02],
-            [0.1, 0.8, 0.06, 0.04],
-        ]
-    )
-    coeff = profiles_to_coefficients(profiles, [24, 26], fock_offset=24)
+def test_coefficient_matrix_selects_window_columns_above_the_offset():
+    cfg = SystemConfig(cutoff=4, fock_offset=24)
+    pulses = _probe_pulses(2)
+    coeff = coefficient_matrix(cfg, pulses, [24, 26])
     assert coeff.shape == (2, 2)
-    assert coeff[0, 0] == 0.9
-    assert coeff[0, 1] == 0.03
-    assert coeff[1, 1] == 0.06
+    for m, cp in enumerate(pulses):
+        profile = excitation_profile(composite_unitary(cfg, cp))
+        assert coeff[m].tolist() == [profile[0], profile[2]]
 
 
-def test_profiles_to_coefficients_rejects_bad_windows():
-    profiles = np.eye(3)
-    with pytest.raises(ValueError, match="3 profiles"):
-        profiles_to_coefficients(profiles, [0, 1])
-    with pytest.raises(ValueError, match="outside the design space"):
-        profiles_to_coefficients(profiles, [0, 1, 5])
+def test_coefficient_matrix_rejects_bad_windows():
+    cfg = SystemConfig(cutoff=3)
+    with pytest.raises(ValueError, match="3 pulses"):
+        coefficient_matrix(cfg, _probe_pulses(3), [0, 1])
+    with pytest.raises(ValueError, match=r"\[5\] lie outside the design space"):
+        coefficient_matrix(cfg, _probe_pulses(3), [0, 1, 5])
 
 
 @pytest.mark.parametrize(
@@ -114,11 +108,12 @@ def test_profiles_to_coefficients_rejects_bad_windows():
         ([0, 1.5], "window state must be an integer"),
         ([True, 1], "window state must be an integer"),
         ([1, 1], "distinct"),
+        ([], "at least one state"),
     ],
 )
-def test_profiles_to_coefficients_checks_window_states(window, message):
+def test_coefficient_matrix_checks_window_states(window, message):
     with pytest.raises(ValueError, match=message):
-        profiles_to_coefficients(np.random.default_rng(0).random((2, 4)), window)
+        coefficient_matrix(SystemConfig(cutoff=4), _probe_pulses(2), window)
 
 
 def test_simulate_measurements_requires_matching_truth_size():
@@ -405,25 +400,27 @@ def test_run_thermometry_duplicate_pulses_hit_condition_guard():
         )
 
 
-def test_run_thermometry_wraps_design_stage_failures():
-    cfg_design = SystemConfig(cutoff=4)
-    cfg_truth = SystemConfig(cutoff=20)
-    dist = thermal_distribution(1.0, 20)
-    layout = weak_drive_layout(2, eta=cfg_design.eta, omega=0.1)
-    template = uniform_pulse_train(2, delta=1.0, omega=0.1)
+def test_run_thermometry_checks_the_design_space_before_designing(monkeypatch):
+    calls = []
 
-    with pytest.raises(ThermometryError) as info:
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the design stage ran")
+
+    monkeypatch.setattr(thermometry, "design_pulse", counted)
+    cfg_design = SystemConfig(cutoff=4)
+    with pytest.raises(ValueError, match=r"\[7\] lie outside the design space"):
         run_thermometry(
             cfg_design,
-            cfg_truth,
-            [5],  # outside the design space, so the target cannot be built
-            dist,
-            template,
-            layout,
+            SystemConfig(cutoff=20),
+            [0, 1, 7],
+            thermal_distribution(1.0, 20),
+            uniform_pulse_train(2, delta=1.0, omega=0.1),
+            weak_drive_layout(2, eta=cfg_design.eta, omega=0.1),
             PsoConfig(particles=8, iterations=1),
             RefineConfig(max_iters=1),
         )
-    assert info.value.stage == "design[5]"
+    assert calls == []
 
 
 def test_coefficient_matrix_columns_are_profile_entries():
