@@ -422,6 +422,8 @@ def cmd_robustness(args: argparse.Namespace) -> int:
         lower, upper = (
             (-125.66, 125.66) if args.axis == "duration" else (-math.pi / 2, math.pi / 2)
         )
+    if args.which != "all" and not args.which.isdecimal():
+        raise ValueError(f"--which must be 'all' or a pulse index, got {args.which!r}")
     spec = SweepSpec(
         axis=args.axis,
         lower=lower,

@@ -36,19 +36,29 @@ __all__ = [
 _HERMITICITY_RTOL = 1e-9
 
 
-def check_integer(name: str, value: object) -> None:
-    """Raise ValueError unless ``value`` is an integer (a bool is not one)."""
+def check_integer(name: str, value: object, minimum: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an integer (a bool is not one)
+    no smaller than ``minimum``, when that is given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def check_real(name: str, value: object) -> None:
+def check_real(
+    name: str, value: object, minimum: float | None = None, *, positive: bool = False
+) -> None:
     """Raise ValueError unless ``value`` is a finite real number (a bool or a
-    string is not one)."""
+    string is not one) no smaller than ``minimum``, when that is given, and
+    above 0 when ``positive`` is set."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 def check_object(
@@ -85,7 +95,10 @@ class SystemConfig:
     eta:
         Lamb-Dicke parameter coupling the internal transition to the mode.
     nu:
-        Mode frequency (sets the unit system; keep at 1.0 unless rescaling).
+        Mode frequency, positive (sets the unit system; keep at 1.0 unless
+        rescaling).  ``uniform_pulse_train(delta=1.0)`` and
+        ``analytic_swap_parameters`` put the first sideband at delta = 1, and
+        ``_DELTA_BOUNDS`` lies around it, so they assume nu = 1.
     cutoff:
         Number of retained Fock levels (>= 2).
     fock_offset:
@@ -99,16 +112,10 @@ class SystemConfig:
     fock_offset: int = 0
 
     def __post_init__(self) -> None:
-        check_integer("cutoff", self.cutoff)
-        check_integer("fock_offset", self.fock_offset)
-        if not self.cutoff >= 2:
-            raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
-        if self.fock_offset < 0:
-            raise ValueError(f"fock_offset must be >= 0, got {self.fock_offset}")
-        check_real("eta", self.eta)
-        check_real("nu", self.nu)
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        check_integer("cutoff", self.cutoff, 2)
+        check_integer("fock_offset", self.fock_offset, 0)
+        check_real("eta", self.eta, 0)
+        check_real("nu", self.nu, positive=True)
 
     @property
     def dim(self) -> int:

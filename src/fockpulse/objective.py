@@ -53,10 +53,8 @@ def swap_target(cutoff: int, fock: int = 0) -> TargetSpec:
     Every entry is compared, so solutions must also keep all spectator states
     in place (up to phases).
     """
-    check_integer("cutoff", cutoff)
+    check_integer("cutoff", cutoff, 2)
     check_integer("fock", fock)
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     if not 0 <= fock < cutoff - 1:
         raise ValueError(
             f"swap needs fock and fock+1 below the cutoff, got fock={fock} "
@@ -79,10 +77,8 @@ def shelving_target(cutoff: int, fock: int) -> TargetSpec:
     unit magnitude except the shelved state's entry, which must vanish.  Where
     the shelved population goes inside the excited manifold is not pinned.
     """
-    check_integer("cutoff", cutoff)
+    check_integer("cutoff", cutoff, 2)
     check_integer("fock", fock)
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     if not 0 <= fock < cutoff:
         raise ValueError(f"fock must be inside [0, {cutoff}), got {fock}")
     dim = 2 * cutoff

@@ -82,14 +82,9 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("particles", "iterations", "seed"):
-            check_integer(name, getattr(self, name))
-        if self.particles < 8:
-            raise ValueError(f"particles must be >= 8, got {self.particles}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_integer("particles", self.particles, 8)
+        check_integer("iterations", self.iterations, 1)
+        check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -100,12 +95,8 @@ class RefineConfig:
     tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
-        check_integer("max_iters", self.max_iters)
-        check_real("tolerance", self.tolerance)
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        check_integer("max_iters", self.max_iters, 1)
+        check_real("tolerance", self.tolerance, positive=True)
 
 
 @dataclass
@@ -418,10 +409,8 @@ def design_pulse(
     Every stage minimizes the same objective: ``robust_loss`` over
     ``ensemble``, which defaults to the nominal pulse alone.
     """
-    check_integer("starts", starts)
+    check_integer("starts", starts, 1)
     check_integer("refine_top", refine_top)
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
     if not 1 <= refine_top <= starts:
         raise ValueError(
             f"refine_top must lie in [1, starts={starts}], got {refine_top}"

@@ -161,17 +161,12 @@ def drive_eigenpairs(
 
     P_e projects onto the excited block.  ``delta`` is one detuning, giving
     shapes (dim,) and (dim, dim), or a (B,) array of them, giving (B, dim)
-    and (B, dim, dim) from one batched ``eigh`` over its distinct values.
+    and (B, dim, dim) from one batched ``eigh``.
     """
     h = build_hamiltonian(cfg, delta=0.0, omega=omega, phi=0.0)
     excited = np.diag((np.arange(cfg.dim) >= cfg.cutoff).astype(float))
     delta = np.asarray(delta, dtype=float)
-    if delta.ndim == 0:
-        return np.linalg.eigh(h - delta * excited)
-    distinct, index = np.unique(delta, return_inverse=True)
-    energies, vectors = np.linalg.eigh(h - distinct[:, None, None] * excited)
-    index = index.reshape(delta.shape)
-    return energies[index], vectors[index]
+    return np.linalg.eigh(h - delta[..., None, None] * excited)
 
 
 def train_product(
@@ -263,8 +258,8 @@ def analytic_swap_parameters(eta: float, omega: float) -> CompositePulse:
     (0, arccos(cot^2(pi/sqrt(2))), 0) at detuning 1.  Off-resonant couplings
     of the real drive degrade it, which is what numerical refinement fixes.
     """
-    if eta <= 0 or omega <= 0:
-        raise ValueError("eta and omega must be positive")
+    check_real("eta", eta, positive=True)
+    check_real("omega", omega, positive=True)
     t_outer = math.pi / (math.sqrt(2.0) * eta * omega)
     t_inner = math.sqrt(2.0) * math.pi / (eta * omega)
     phi_inner = math.acos(1.0 / math.tan(math.pi / math.sqrt(2.0)) ** 2)
@@ -285,9 +280,7 @@ def uniform_pulse_train(
     Serves as the fixed-field carrier that a ParamLayout writes optimized
     values into; the initial durations and phases are placeholders.
     """
-    check_integer("count", count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_integer("count", count, 1)
     return CompositePulse(
         tuple(PulseParams(delta=delta, omega=omega, phi=0.0, t=t) for _ in range(count))
     )
@@ -309,14 +302,8 @@ class ParamLayout:
     shared_delta: bool = False
 
     def __post_init__(self) -> None:
-        check_integer("count", self.count)
-        check_real("duration_bound", self.duration_bound)
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.duration_bound <= 0:
-            raise ValueError(
-                f"duration_bound must be positive, got {self.duration_bound}"
-            )
+        check_integer("count", self.count, 1)
+        check_real("duration_bound", self.duration_bound, positive=True)
 
     @property
     def dim(self) -> int:

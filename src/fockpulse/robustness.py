@@ -66,15 +66,13 @@ class SweepSpec:
             raise ValueError(f"axis must be 'duration' or 'phase', got {self.axis!r}")
         check_real("lower", self.lower)
         check_real("upper", self.upper)
-        check_integer("points", self.points)
+        check_integer("points", self.points, 3)
         if self.which != "all":
             check_integer("which", self.which)
         if not self.lower <= 0.0 <= self.upper:
             raise ValueError(
                 f"offset range must contain 0, got [{self.lower}, {self.upper}]"
             )
-        if self.points < 3:
-            raise ValueError(f"points must be >= 3, got {self.points}")
 
     def offsets(self) -> np.ndarray:
         return np.linspace(self.lower, self.upper, self.points)
@@ -93,9 +91,7 @@ class TransitionProbe:
     mode: Literal["transfer", "excitation"] = "transfer"
 
     def __post_init__(self) -> None:
-        check_integer("fock", self.fock)
-        if self.fock < 0:
-            raise ValueError(f"fock must be >= 0, got {self.fock}")
+        check_integer("fock", self.fock, 0)
         if self.mode not in ("transfer", "excitation"):
             raise ValueError(f"unknown probe mode {self.mode!r}")
 
@@ -138,9 +134,7 @@ class OffsetEnsemble:
         if len(weights) != len(specs):
             raise ValueError(f"got {len(weights)} weights for {len(specs)} specs")
         for weight in weights:
-            check_real("weight", weight)
-        if not all(w > 0 for w in weights):
-            raise ValueError(f"weights must be positive, got {weights}")
+            check_real("weight", weight, positive=True)
         object.__setattr__(self, "specs", specs)
         object.__setattr__(self, "weights", weights)
 

@@ -98,12 +98,8 @@ def thermal_distribution(nbar: float, cutoff: int) -> PhononDistribution:
     P_n proportional to nbar^n / (1 + nbar)^(n+1); renormalized over the
     retained levels so tiny truncation tails do not break the sum rule.
     """
-    check_real("nbar", nbar)
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    check_integer("cutoff", cutoff)
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    check_real("nbar", nbar, 0)
+    check_integer("cutoff", cutoff, 1)
     if nbar == 0:
         populations = np.zeros(cutoff)
         populations[0] = 1.0

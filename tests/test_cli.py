@@ -412,6 +412,26 @@ def test_robustness_bad_which_exits_two(tmp_path, which, axis):
     assert _robustness(out, entry, "--axis", axis, "--which", which) == 2
 
 
+@pytest.mark.parametrize("which", ["x", "1.0"])
+def test_robustness_which_not_an_index_names_the_option(tmp_path, caplog, which):
+    out = tmp_path / "runs"
+    entry = _store_pulse(out, 0)
+    assert _robustness(out, entry, "--axis", "duration", "--which", which) == 2
+    assert "--which must be 'all' or a pulse index" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "axis, edge", [("duration", 125.66), ("phase", np.pi / 2)]
+)
+def test_robustness_default_range(tmp_path, axis, edge):
+    out = tmp_path / "runs"
+    entry = _store_pulse(out, 0)
+    argv = ["--quiet", "robustness", "--pulse-id", entry.id, "--axis", axis]
+    assert main(argv + ["--points", "5", "--out", str(out)]) == 0
+    document = json.loads((out / f"robustness-{entry.id}-{axis}.json").read_text())
+    assert document["offsets"][0] == -edge and document["offsets"][-1] == edge
+
+
 @pytest.mark.parametrize(
     "block, misspelled",
     [
@@ -549,6 +569,24 @@ def test_unknown_key_at_any_level_exits_two(tmp_path, caplog, command, overrides
     code = main(["--quiet", command, "--config", str(cfg_path), "--out", str(out)])
     assert code == 2
     assert "unknown keys in" in caplog.text and repr(key) in caplog.text
+
+
+def test_config_must_hold_an_object(tmp_path, caplog):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps([_write_config(cfg_path)]))
+    with pytest.raises(ValueError, match="must hold a JSON object"):
+        RunConfig.load(cfg_path)
+    argv = ["--quiet", "design", "--config", str(cfg_path), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "must hold a JSON object" in caplog.text
+
+
+def test_config_rejects_a_mode_frequency_that_is_not_positive(tmp_path, caplog):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, system={"cutoff": 3, "nu": 0})
+    argv = ["--quiet", "design", "--config", str(cfg_path), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "nu must be positive, got 0" in caplog.text
 
 
 def test_overrides_meet_the_config_checks(tmp_path, capsys):

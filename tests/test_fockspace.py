@@ -71,6 +71,12 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=f"{field} must be (a number|finite)"):
             SystemConfig(**{field: value})
 
+    @pytest.mark.parametrize("nu", [0, -1.0])
+    def test_mode_frequency_must_be_positive(self, nu):
+        # nu = 0 flattens the mode ladder and nu < 0 inverts it.
+        with pytest.raises(ValueError, match=f"nu must be positive, got {nu}"):
+            SystemConfig(nu=nu)
+
     def test_fock_indices_with_offset(self):
         cfg = SystemConfig(cutoff=12, fock_offset=24)
         assert cfg.fock_indices().tolist() == list(range(24, 36))

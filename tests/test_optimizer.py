@@ -355,6 +355,14 @@ GRADIENT_CASES = {
         None,
     ),
     "robust-clamped-c3": (CFG, LAYOUT, TEMPLATE, TARGET, CLAMPING),
+    # one drive per row, repeated over every member of the ensemble
+    "robust-strong-c6": (
+        SystemConfig(cutoff=6),
+        strong_drive_layout(4, eta=CFG.eta, omega=1.0),
+        uniform_pulse_train(4, delta=1.0, omega=1.0),
+        shelving_target(6, 0),
+        CLAMPING,
+    ),
 }
 
 

@@ -103,6 +103,14 @@ class TestAnalyticSwapParameters:
         with pytest.raises(ValueError):
             analytic_swap_parameters(0.0, OMEGA)
 
+    @pytest.mark.parametrize(
+        "eta, omega, message",
+        [("a", OMEGA, "eta must be a number"), (0.1, -OMEGA, "omega must be positive")],
+    )
+    def test_rejects_inputs_by_name(self, eta, omega, message):
+        with pytest.raises(ValueError, match=message):
+            analytic_swap_parameters(eta, omega)
+
 
 class TestCompositeUnitary:
     def test_single_pulse_matches_propagate(self):
