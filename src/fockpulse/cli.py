@@ -194,6 +194,9 @@ def parse_distribution(spec: dict[str, Any], cutoff: int) -> PhononDistribution:
     """Distribution from a config block: thermal or explicit populations."""
     check_object("'distribution'", spec, _DISTRIBUTION_KEYS)
     if "thermal_nbar" in spec:
+        extra = [key for key in ("populations", "first_fock") if key in spec]
+        if extra:
+            raise ValueError(f"'thermal_nbar' excludes {', '.join(map(repr, extra))}")
         return thermal_distribution(spec["thermal_nbar"], cutoff)
     if "populations" in spec:
         first = spec.get("first_fock", 0)
@@ -485,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.set_defaults(func=cmd_design)
 
     p_eval = sub.add_parser("evaluate", help="print a stored pulse's propagator")
-    p_eval.add_argument("--pulse-id", help="library id (may be abbreviated)")
-    p_eval.add_argument("--pulse-file", help="path to a pulse entry JSON")
     p_eval.add_argument("--cutoff", type=int, help="evaluate at a different cutoff")
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -496,8 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_thermo.set_defaults(func=cmd_thermometry)
 
     p_rob = sub.add_parser("robustness", help="sweep timing or phase offsets")
-    p_rob.add_argument("--pulse-id")
-    p_rob.add_argument("--pulse-file")
     p_rob.add_argument("--axis", choices=("duration", "phase"), required=True)
     p_rob.add_argument(
         "--range", nargs=2, type=float, metavar=("LO", "HI"), default=None
@@ -510,6 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rob.add_argument("--cutoff", type=int, help="evaluate at a different cutoff")
     p_rob.set_defaults(func=cmd_robustness)
+    for p in (p_eval, p_rob):
+        # not required: giving neither exits 2 through _load_pulse_arg
+        pulse = p.add_mutually_exclusive_group()
+        pulse.add_argument("--pulse-id", help="library id (may be abbreviated)")
+        pulse.add_argument("--pulse-file", help="path to a pulse entry JSON")
     for p in (p_design, p_eval, p_thermo, p_rob):
         p.add_argument("--out", default="runs", help="output directory (default: runs)")
     return parser

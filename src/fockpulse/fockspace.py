@@ -6,8 +6,12 @@ flat index of |g, n> is ``n - fock_offset`` and the flat index of |e, n> is
 ``cutoff + n - fock_offset``.  All operators are dense complex matrices of
 shape (2 * cutoff, 2 * cutoff); mode-only operators are (cutoff, cutoff).
 
-Units: hbar = 1 and time is measured in units of the inverse mode frequency,
-so ``nu`` defaults to 1 and detunings/Rabi rates are in units of ``nu``.
+Units: hbar = 1 and the mode frequency nu is the unit, as in Leibfried et
+al., Rev. Mod. Phys. 75, 281 (2003): eta is a pure number, the detuning
+delta and the Rabi rate omega are in units of nu, and durations in units of
+1/nu.  So |n> has mode energy n, and delta = 1 makes the first blue sideband
+resonant.  A mode at another frequency nu' is the same problem with
+delta/nu', omega/nu' and nu' * t, so no result depends on a choice of nu.
 """
 
 from __future__ import annotations
@@ -94,11 +98,6 @@ class SystemConfig:
     ----------
     eta:
         Lamb-Dicke parameter coupling the internal transition to the mode.
-    nu:
-        Mode frequency, positive (sets the unit system; keep at 1.0 unless
-        rescaling).  ``uniform_pulse_train(delta=1.0)`` and
-        ``analytic_swap_parameters`` put the first sideband at delta = 1, and
-        ``_DELTA_BOUNDS`` lies around it, so they assume nu = 1.
     cutoff:
         Number of retained Fock levels (>= 2).
     fock_offset:
@@ -107,7 +106,6 @@ class SystemConfig:
     """
 
     eta: float = 0.084
-    nu: float = 1.0
     cutoff: int = 4
     fock_offset: int = 0
 
@@ -115,7 +113,6 @@ class SystemConfig:
         check_integer("cutoff", self.cutoff, 2)
         check_integer("fock_offset", self.fock_offset, 0)
         check_real("eta", self.eta, 0)
-        check_real("nu", self.nu, positive=True)
 
     @property
     def dim(self) -> int:
@@ -175,7 +172,7 @@ def build_hamiltonian(
     Parameters
     ----------
     delta:
-        Laser detuning.  delta = nu makes the first blue sideband resonant.
+        Laser detuning.  delta = 1 makes the first blue sideband resonant.
     omega:
         Rabi rate of the drive.
     phi:
@@ -183,13 +180,13 @@ def build_hamiltonian(
 
     Returns
     -------
-    Hermitian array of shape (2 * cutoff, 2 * cutoff): mode energy on both
-    internal levels, -delta on the excited block, and the phase-dressed
-    displacement coupling on the off-diagonal blocks.
+    Hermitian array of shape (2 * cutoff, 2 * cutoff): mode energy n of |n>
+    on both internal levels, -delta on the excited block, and the
+    phase-dressed displacement coupling on the off-diagonal blocks.
     """
     c = cfg.cutoff
     h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    mode_energy = cfg.nu * cfg.fock_indices().astype(float)
+    mode_energy = cfg.fock_indices().astype(float)
     h[np.arange(c), np.arange(c)] = mode_energy
     h[np.arange(c, 2 * c), np.arange(c, 2 * c)] = mode_energy - delta
     coupling = 0.5 * omega * np.exp(1j * phi) * displacement_exponential(cfg)

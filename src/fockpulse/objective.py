@@ -39,7 +39,7 @@ class TargetSpec:
             raise ValueError(
                 f"mask shape {mask.shape} does not match modulus {modulus.shape}"
             )
-        if np.any(modulus < 0) or np.any(modulus > 1):
+        if not np.all((modulus >= 0) & (modulus <= 1)):  # NaN fails both
             raise ValueError("target moduli must lie in [0, 1]")
         modulus.flags.writeable = False
         mask.flags.writeable = False

@@ -293,7 +293,7 @@ def _pulse_objective(
         energies, vectors = (
             fixed if shared is None else drive_eigenpairs(cfg, shared, omega)
         )
-        args = (cfg.cutoff, energies, vectors, durations, phases, target, ensemble)
+        args = (energies, vectors, durations, phases, target, ensemble)
         if not gradient:
             return ensemble_losses(*args)
         losses, d_t, d_phi, d_delta = ensemble_gradients(*args)

@@ -170,7 +170,6 @@ def drive_eigenpairs(
 
 
 def train_product(
-    cutoff: int,
     energies: np.ndarray,
     vectors: np.ndarray,
     durations: np.ndarray,
@@ -184,7 +183,8 @@ def train_product(
     in column 0.  ``energies`` and ``vectors`` are the eigenpairs of
     H(delta, omega, 0) shared by all n pulses of a row: shapes (dim,) and
     (dim, dim) for one drive shared by every row, or (B, dim) and
-    (B, dim, dim) for one drive per row.  Pulse k acts on the running block
+    (B, dim, dim) for one drive per row.  The excited block is the second
+    half of the dim = 2 * cutoff basis.  Pulse k acts on the running block
     as Z V e^{-i w t_k} V^dagger Z^dagger, where Z = diag(1_g, e^{i phi_k} 1_e)
     only scales the excited rows; the first pulse acts first, as in
     ``composite_unitary``.  Without ``states`` the first pulse's right factor
@@ -204,11 +204,10 @@ def train_product(
             raise ValueError(
                 f"states must be a ({dim}, k) block, got shape {states.shape}"
             )
-    return _train_pass(cutoff, energies, vectors, durations, phases, states)[0]
+    return _train_pass(energies, vectors, durations, phases, states)[0]
 
 
 def _train_pass(
-    cutoff: int,
     energies: np.ndarray,
     vectors: np.ndarray,
     durations: np.ndarray,
@@ -231,7 +230,7 @@ def _train_pass(
     # (B, n, dim) eigenphase factors and diagonals of Z of every pulse
     decay = np.exp(-1j * energies[..., None, :] * durations[:, :, None])
     z = np.ones(durations.shape + (dim,), dtype=complex)
-    z[..., cutoff:] = np.exp(1j * phases)[..., None]
+    z[..., dim // 2 :] = np.exp(1j * phases)[..., None]
     if states is None:
         block = adjoint * z[:, 0, None, :].conj()
     else:

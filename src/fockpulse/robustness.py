@@ -279,7 +279,6 @@ def _soft_worst(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ensemble_losses(
-    cutoff: int,
     energies: np.ndarray,
     vectors: np.ndarray,
     durations: np.ndarray,
@@ -294,16 +293,15 @@ def ensemble_losses(
     ``train_product`` takes them.
     """
     weights, t, phi = _member_trains(durations, phases, ensemble)
-    if energies.ndim == 2:  # one drive per train: every member shares it
+    if energies.ndim == 2 and weights.size > 1:  # every member shares its drive
         energies = np.repeat(energies, weights.size, axis=0)
         vectors = np.repeat(vectors, weights.size, axis=0)
-    u = train_product(cutoff, energies, vectors, np.maximum(t, 0.0), phi)
+    u = train_product(energies, vectors, np.maximum(t, 0.0), phi)
     losses = weights * modulus_loss(u, target).reshape(-1, weights.size)
     return _soft_worst(losses)[0]
 
 
 def ensemble_gradients(
-    cutoff: int,
     energies: np.ndarray,
     vectors: np.ndarray,
     durations: np.ndarray,
@@ -338,15 +336,16 @@ def ensemble_gradients(
     weights, t, phi = _member_trains(durations, phases, ensemble)
     size = weights.size
     adjoint = np.conj(np.swapaxes(vectors, -1, -2))
-    excited = adjoint[..., cutoff:] @ vectors[..., cutoff:, :]  # E = V^dagger P_e V
-    if energies.ndim == 2 and size > 1:  # every member shares its train's drive
+    c = vectors.shape[-1] // 2
+    excited = adjoint[..., c:] @ vectors[..., c:, :]  # E = V^dagger P_e V
+    if energies.ndim == 2 and size > 1:  # every member shares its drive
         energies, vectors, adjoint, excited = (
             np.repeat(a, size, axis=0) for a in (energies, vectors, adjoint, excited)
         )
     live = t > 0.0
     t = np.maximum(t, 0.0)
     entering: list[np.ndarray] = []
-    u, decay, hinge = _train_pass(cutoff, energies, vectors, t, phi, entering=entering)
+    u, decay, hinge = _train_pass(energies, vectors, t, phi, entering=entering)
     member = modulus_loss(u, target)
     losses, shares = _soft_worst(weights * member.reshape(rows, size))
 
@@ -408,7 +407,5 @@ def robust_loss(
     durations = np.array([[p.t for p in cp]])
     phases = np.array([[p.phi for p in cp]])
     return float(
-        ensemble_losses(
-            cfg.cutoff, energies, vectors, durations, phases, target, ensemble
-        )[0]
+        ensemble_losses(energies, vectors, durations, phases, target, ensemble)[0]
     )

@@ -191,7 +191,7 @@ def simulate_measurements(
                 energies, vectors = drive_eigenpairs(cfg_big, *drive)
             run = list(run)
             durations, phases = [[p.t for p in run]], [[p.phi for p in run]]
-            block = train_product(c, energies, vectors, durations, phases, block)[0]
+            block = train_product(energies, vectors, durations, phases, block)[0]
         profiles[m] = np.sum(np.abs(block[c:]) ** 2, axis=0)
     return profiles @ dist.populations
 

@@ -122,6 +122,8 @@ def test_parse_distribution_variants():
         (5, "'distribution' must be an object"),
         ({"thermal_nbar": True}, "nbar must be a number"),
         ({"populations": [True, False]}, "populations must be a number"),
+        ({"thermal_nbar": 1.0, "populations": [0.5, 0.5]}, "'populations'"),
+        ({"thermal_nbar": 1.0, "first_fock": 3}, "'first_fock'"),
     ],
 )
 def test_parse_distribution_rejects_bad_values(spec, message):
@@ -216,12 +218,27 @@ def test_format_option_is_gone(tmp_path, capsys):
     assert not list(out.glob("evaluate-*"))
 
 
+@pytest.mark.parametrize("command", ["evaluate", "robustness"])
+def test_pulse_id_and_pulse_file_exclude_each_other(tmp_path, capsys, command):
+    out = tmp_path / "runs"
+    entry = _store_pulse(out, 0)
+    path = out / "library" / f"{entry.id}.json"
+    argv = [command, "--pulse-id", entry.id, "--pulse-file", str(path)]
+    argv += ["--axis", "phase"] if command == "robustness" else []
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not list(out.glob(f"{command}-*"))
+
+
 # Malformed library entries: the change to a stored entry, and the field the
 # error must name.
 PULSE = {"delta": 1.0, "omega": 0.1, "phi": 0.0, "t": 50.0}
 MALFORMED_ENTRIES = {
     "system-unknown-key": ({"system": {"cutof": 3}}, "'cutof'"),
     "system-not-object": ({"system": [1]}, "'system'"),
+    "system-with-nu": ({"system": {"cutoff": 3, "nu": 1.0}}, "'nu'"),
     "pulse-unknown-key": ({"pulses": [{**PULSE, "delt": 1.0}]}, "'delt'"),
     "pulse-missing-t": ({"pulses": [{k: v for k, v in PULSE.items() if k != "t"}]}, "'t'"),
     "pulses-not-list": ({"pulses": PULSE}, "pulse records"),
@@ -581,12 +598,13 @@ def test_config_must_hold_an_object(tmp_path, caplog):
     assert "must hold a JSON object" in caplog.text
 
 
-def test_config_rejects_a_mode_frequency_that_is_not_positive(tmp_path, caplog):
+def test_config_rejects_a_mode_frequency(tmp_path, caplog):
+    # nu is the unit of every rate and time, so a config cannot set it
     cfg_path = tmp_path / "run.json"
-    _write_config(cfg_path, system={"cutoff": 3, "nu": 0})
+    _write_config(cfg_path, system={"cutoff": 3, "nu": 1.0})
     argv = ["--quiet", "design", "--config", str(cfg_path), "--out", str(tmp_path)]
     assert main(argv) == 2
-    assert "nu must be positive, got 0" in caplog.text
+    assert "unknown keys in 'system' block: 'nu'" in caplog.text
 
 
 def test_overrides_meet_the_config_checks(tmp_path, capsys):

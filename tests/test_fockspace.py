@@ -1,5 +1,7 @@
 """Operator construction against independent closed-form oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
@@ -44,7 +46,8 @@ class TestSystemConfig:
     def test_defaults(self):
         cfg = SystemConfig()
         assert cfg.eta == 0.084
-        assert cfg.nu == 1.0
+        fields = [f.name for f in dataclasses.fields(cfg)]
+        assert fields == ["eta", "cutoff", "fock_offset"]
         assert cfg.dim == 2 * cfg.cutoff
 
     def test_cutoff_too_small(self):
@@ -65,16 +68,16 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("eta", "0.1"), ("nu", "1"), ("eta", None), ("nu", True), ("eta", np.nan)],
+        [("eta", "0.1"), ("eta", None), ("eta", np.nan)],
     )
     def test_non_numeric_or_non_finite_coupling(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be (a number|finite)"):
             SystemConfig(**{field: value})
 
-    @pytest.mark.parametrize("nu", [0, -1.0])
-    def test_mode_frequency_must_be_positive(self, nu):
-        # nu = 0 flattens the mode ladder and nu < 0 inverts it.
-        with pytest.raises(ValueError, match=f"nu must be positive, got {nu}"):
+    @pytest.mark.parametrize("nu", [1.0, 0])
+    def test_mode_frequency_is_not_a_field(self, nu):
+        # nu is the unit of every rate and time, so no value of it is set
+        with pytest.raises(TypeError, match="'nu'"):
             SystemConfig(nu=nu)
 
     def test_fock_indices_with_offset(self):
@@ -164,6 +167,14 @@ class TestBuildHamiltonian:
             delta, omega, phi = rng.uniform(-2, 2), rng.uniform(0, 2), rng.uniform(0, 7)
             h = build_hamiltonian(cfg, delta=delta, omega=omega, phi=phi)
             assert np.abs(h - h.conj().T).max() <= 1e-12
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_mode_energy_is_the_fock_index(self, delta):
+        # the drive only fills the off-diagonal blocks
+        cfg = SystemConfig(cutoff=3)
+        h = build_hamiltonian(cfg, delta=delta, omega=0.7, phi=1.3)
+        assert np.diag(h)[:3].tolist() == [0.0, 1.0, 2.0]
+        assert np.diag(h)[3:].tolist() == [0.0 - delta, 1.0 - delta, 2.0 - delta]
 
     def test_offset_diagonal(self):
         cfg = SystemConfig(cutoff=3, fock_offset=24)

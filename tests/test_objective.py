@@ -5,6 +5,7 @@ import pytest
 
 from fockpulse.fockspace import SystemConfig
 from fockpulse.objective import (
+    TargetSpec,
     excitation_profile,
     modulus_loss,
     shelving_target,
@@ -86,6 +87,22 @@ class TestShelvingTarget:
 def test_targets_reject_non_integer_arguments(make, args, name):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         make(*args)
+
+
+@pytest.mark.parametrize(
+    "modulus, mask, message",
+    [
+        (np.ones((2, 3)), np.ones((2, 3)), "must be square"),
+        (np.eye(2), np.ones((3, 3)), "does not match"),
+        (np.full((2, 2), 1.5), np.ones((2, 2)), r"lie in \[0, 1\]"),
+        # NaN passes both range comparisons; it once scored every train inf
+        (np.diag([1.0, np.nan]), np.ones((2, 2)), r"lie in \[0, 1\]"),
+    ],
+    ids=["not-square", "mask-shape", "above-one", "nan"],
+)
+def test_target_spec_rejects_bad_moduli(modulus, mask, message):
+    with pytest.raises(ValueError, match=message):
+        TargetSpec(modulus=modulus, mask=mask)
 
 
 class TestModulusLoss:

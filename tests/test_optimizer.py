@@ -163,7 +163,7 @@ def test_robust_objective_pins_the_ensemble_aggregate():
     # the nominal loss is the stacked modulus loss of the kernel's train, bit for bit
     energies, vectors = drive_eigenpairs(CFG, 1.0, 0.1)
     stacked = modulus_loss(
-        train_product(CFG.cutoff, energies, vectors, [x[:3]], [[0.0, *x[3:]]]), TARGET
+        train_product(energies, vectors, [x[:3]], [[0.0, *x[3:]]]), TARGET
     )
     assert nominal(x[None]).tolist() == alone(x[None]).tolist() == stacked.tolist()
 
@@ -202,7 +202,6 @@ def test_robust_objective_pins_the_ensemble_aggregate():
             weight
             * modulus_loss(
                 train_product(
-                    CFG.cutoff,
                     energies,
                     vectors,
                     [[p.t for p in member]],
@@ -410,7 +409,6 @@ def test_exact_gradient_returns_the_ensemble_loss(case):
         delta = template[0].delta if shared is None else shared[i]
         energies, vectors = drive_eigenpairs(cfg, delta, template[0].omega)
         args = (
-            cfg.cutoff,
             energies,
             vectors,
             durations[i : i + 1],
@@ -433,7 +431,7 @@ def test_exact_gradient_at_the_kinks():
     # swap(0) asks for |u| = 1 at two entries where u is exactly 0: a
     # subgradient, finite, stands in for the undefined derivative there
     energies, vectors = _diagonal_drive(np.arange(6) * 0.7)
-    args = (3, energies, vectors, durations, phases, TARGET, nominal)
+    args = (energies, vectors, durations, phases, TARGET, nominal)
     losses, d_t, d_phi, d_delta = ensemble_gradients(*args)
     assert losses.tolist() == ensemble_losses(*args).tolist()
     assert losses[0] > 0
@@ -442,7 +440,7 @@ def test_exact_gradient_at_the_kinks():
     energies, vectors = _diagonal_drive(np.zeros(6))
     identity = TargetSpec(modulus=np.eye(6), mask=np.ones((6, 6), dtype=bool))
     losses, *grads = ensemble_gradients(
-        3, energies, vectors, durations, np.zeros_like(phases), identity, nominal
+        energies, vectors, durations, np.zeros_like(phases), identity, nominal
     )
     assert losses.tolist() == [0.0]
     assert all(np.all(part == 0.0) for part in grads)

@@ -284,7 +284,7 @@ class TestTrainUnitaries:
         phases = np.hstack([np.zeros((12, 1)), rows[:, 4:7]])
         delta = rows[:, -1] if strong else 1.0
         energies, vectors = drive_eigenpairs(cfg, delta, omega)
-        u = train_product(cfg.cutoff, energies, vectors, durations, phases)
+        u = train_product(energies, vectors, durations, phases)
         assert u.shape == (12, cfg.dim, cfg.dim)
         for b in range(12):
             d = delta[b] if strong else delta
@@ -304,20 +304,18 @@ class TestTrainUnitaries:
         phases = rng.uniform(0.0, 2 * np.pi, (64, 3))
         deltas = rng.uniform(0.25, 2.5, 64)
         weak = drive_eigenpairs(cfg, 1.0, OMEGA)
-        shared = train_product(cfg.cutoff, *weak, durations, phases)
-        per_row = train_product(
-            cfg.cutoff, *drive_eigenpairs(cfg, deltas, 1.0), durations, phases
-        )
+        shared = train_product(*weak, durations, phases)
+        per_row = train_product(*drive_eigenpairs(cfg, deltas, 1.0), durations, phases)
         column = np.eye(cfg.dim, 1)
-        shared_column = train_product(cfg.cutoff, *weak, durations, phases, column)
+        shared_column = train_product(*weak, durations, phases, column)
         for b in (0, 17, 63):
             one = durations[b : b + 1], phases[b : b + 1]
-            alone = train_product(cfg.cutoff, *weak, *one)
+            alone = train_product(*weak, *one)
             assert np.array_equal(alone[0], shared[b])
-            alone = train_product(cfg.cutoff, *weak, *one, column)
+            alone = train_product(*weak, *one, column)
             assert np.array_equal(alone[0], shared_column[b])
             strong = drive_eigenpairs(cfg, deltas[b], 1.0)
-            alone = train_product(cfg.cutoff, *strong, *one)
+            alone = train_product(*strong, *one)
             assert np.array_equal(alone[0], per_row[b])
 
     def test_eigenpairs_of_a_detuning_batch(self):
@@ -335,9 +333,9 @@ class TestTrainUnitaries:
         cfg = SystemConfig(cutoff=3)
         w, v = drive_eigenpairs(cfg, 1.0, OMEGA)
         with pytest.raises(ValueError, match="durations"):
-            train_product(cfg.cutoff, w, v, np.ones((2, 3)), np.ones((2, 2)))
+            train_product(w, v, np.ones((2, 3)), np.ones((2, 2)))
         with pytest.raises(ValueError, match="n >= 1"):
-            train_product(cfg.cutoff, w, v, np.ones((2, 0)), np.ones((2, 0)))
+            train_product(w, v, np.ones((2, 0)), np.ones((2, 0)))
 
     def test_shared_drive(self):
         cp = uniform_pulse_train(3, delta=1.2, omega=OMEGA)
@@ -362,7 +360,7 @@ class TestStateBlocks:
         # one drive shared by every row, then one drive per row
         for delta, omega in ((1.0, OMEGA), (rng.uniform(0.25, 2.5, 4), 1.0)):
             drive = drive_eigenpairs(cfg, delta, omega)
-            out = train_product(cfg.cutoff, *drive, durations, phases, states)
+            out = train_product(*drive, durations, phases, states)
             assert out.shape == (4, cfg.dim, 3)
             for b, d in enumerate(np.broadcast_to(delta, 4).tolist()):
                 cp = CompositePulse(
@@ -378,4 +376,4 @@ class TestStateBlocks:
         cfg = SystemConfig(cutoff=3)
         w, v = drive_eigenpairs(cfg, 1.0, OMEGA)
         with pytest.raises(ValueError, match="states"):
-            train_product(cfg.cutoff, w, v, np.ones((1, 2)), np.zeros((1, 2)), np.eye(5))
+            train_product(w, v, np.ones((1, 2)), np.zeros((1, 2)), np.eye(5))

@@ -92,7 +92,7 @@ class GridFloors:
         floors = []
         for dt, dphi in self.grids:
             members = np.maximum(t + dt, 0.0), phi + dphi
-            psi = train_product(CFG.cutoff, *self.drive, *members, GROUND)
+            psi = train_product(*self.drive, *members, GROUND)
             floors.append(float((np.abs(psi[:, CFG.cutoff + 1, 0]) ** 2).min()))
         return floors[0], floors[1]
 
