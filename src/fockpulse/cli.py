@@ -356,8 +356,6 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
     if block is None:
         raise ValueError("config has no 'thermometry' section")
     window = block.get("window", [])
-    if not isinstance(window, list):
-        raise ValueError("thermometry config needs a nonempty 'window' list")
     truth_cutoff = _integer_key(block, "truth_cutoff", 100)
     cfg_truth = dataclasses.replace(
         rc.system, cutoff=truth_cutoff, fock_offset=0

@@ -165,7 +165,7 @@ def displacement_exponential(cfg: SystemConfig) -> np.ndarray:
 
 
 def build_hamiltonian(
-    cfg: SystemConfig, *, delta: float, omega: float, phi: float
+    cfg: SystemConfig, *, delta: float | np.ndarray, omega: float, phi: float
 ) -> np.ndarray:
     """Dense Hamiltonian for one laser pulse, in the rotating frame.
 
@@ -173,6 +173,7 @@ def build_hamiltonian(
     ----------
     delta:
         Laser detuning.  delta = 1 makes the first blue sideband resonant.
+        One detuning, or a (B,) array of them for a stack of B Hamiltonians.
     omega:
         Rabi rate of the drive.
     phi:
@@ -180,18 +181,20 @@ def build_hamiltonian(
 
     Returns
     -------
-    Hermitian array of shape (2 * cutoff, 2 * cutoff): mode energy n of |n>
-    on both internal levels, -delta on the excited block, and the
-    phase-dressed displacement coupling on the off-diagonal blocks.
+    Hermitian array of shape (2 * cutoff, 2 * cutoff), or (B, 2 * cutoff,
+    2 * cutoff) for B detunings: mode energy n of |n> on both internal
+    levels, -delta on the excited block, and the phase-dressed displacement
+    coupling on the off-diagonal blocks.
     """
+    delta = np.asarray(delta, dtype=float)
     c = cfg.cutoff
-    h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+    h = np.zeros(delta.shape + (cfg.dim, cfg.dim), dtype=complex)
     mode_energy = cfg.fock_indices().astype(float)
-    h[np.arange(c), np.arange(c)] = mode_energy
-    h[np.arange(c, 2 * c), np.arange(c, 2 * c)] = mode_energy - delta
+    h[..., np.arange(c), np.arange(c)] = mode_energy
+    h[..., np.arange(c, 2 * c), np.arange(c, 2 * c)] = mode_energy - delta[..., None]
     coupling = 0.5 * omega * np.exp(1j * phi) * displacement_exponential(cfg)
-    h[c:, :c] = coupling
-    h[:c, c:] = coupling.conj().T
+    h[..., c:, :c] = coupling
+    h[..., :c, c:] = coupling.conj().T
     return h
 
 

@@ -15,11 +15,10 @@ population per iteration.  The refinement asks the same objective for a
 loss and its exact gradient at once, from ``ensemble_gradients``: one
 forward and one backward pass over the kernel's eigenpairs, as in GRAPE
 (Khaneja et al., J. Magn. Reson. 172, 296 (2005); de Fouquieres et al.,
-J. Magn. Reson. 212, 412 (2011)).  One row is one evaluation.  The kernel's
-propagators agree with ``composite_unitary`` only up to rounding, so seeded
-designs match those of the pulse-by-pulse objective that came before it only
-up to rounding too.
-A row's loss does not depend on the block it is evaluated in.
+J. Magn. Reson. 212, 412 (2011)).  One row is one evaluation, and a row's
+loss does not depend on the block it is evaluated in.  The kernel's
+propagators agree with the reference ``composite_unitary`` only up to
+rounding.
 
 The objective is the ``robust_loss`` over the pulses the offset grids of an
 ``OffsetEnsemble`` perturb the candidate into.  Without an ensemble it is that
@@ -155,45 +154,23 @@ class _TrackedObjective:
 
 
 def finite_difference_gradient(
-    func: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    step: float,
-    lower: np.ndarray | None = None,
-    upper: np.ndarray | None = None,
+    func: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float
 ) -> np.ndarray:
-    """Central-difference gradient that never probes outside box bounds.
+    """Central-difference gradient (f(x + step e_j) - f(x - step e_j)) / (2 step).
 
-    ``func`` maps a (P, n) block of points to P values, and every probe is
-    evaluated in one block.  Coordinates closer than one step to a bound fall
-    back to the one-sided three-point stencil of the same order, so bounded
-    objectives may assume every probe is feasible.  Raises on non-finite
-    differences, naming the offending coordinate.  The refinement uses the
-    exact gradient; this is the reference the tests check it against.
+    ``func`` maps a (P, n) block of points to P values, and all 2n probes are
+    evaluated in one block.  Raises on non-finite differences, naming the
+    offending coordinate.  The refinement uses the exact gradient; this is
+    the reference the tests check it against.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    lower = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
-    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    up_ok = x + step <= upper
-    down_ok = x - step >= lower
-    central = up_ok & down_ok
-    # one-sided stencils step towards the open side, and share f(x)
-    sign = np.where(up_ok, 1.0, -1.0)
-    first = np.where(central, step, sign * step)
-    second = np.where(central, -step, sign * 2.0 * step)
     # rows 2j and 2j + 1 probe coordinate j
     probes = np.repeat(x[None, :], 2 * n, axis=0)
-    probes[0::2][np.arange(n), np.arange(n)] += first
-    probes[1::2][np.arange(n), np.arange(n)] += second
-    if not central.all():
-        probes = np.vstack([x[None, :], probes])
-    values = np.asarray(func(probes), dtype=float)
-    f0, (f1, f2) = values[0], values[-2 * n :].reshape(n, 2).T
-    grad = np.where(
-        central,
-        (f1 - f2) / (2.0 * step),
-        sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * step),
-    )
+    probes[0::2][np.arange(n), np.arange(n)] += step
+    probes[1::2][np.arange(n), np.arange(n)] -= step
+    f1, f2 = np.asarray(func(probes), dtype=float).reshape(n, 2).T
+    grad = (f1 - f2) / (2.0 * step)
     _check_finite_gradient(grad, x)
     return grad
 
@@ -277,7 +254,7 @@ def _pulse_objective(
     returns the losses with their (P, k) gradients in the layout's slots.  The
     template's pulses must share one Rabi rate, and one detuning unless the
     layout frees it.  A fixed detuning is eigendecomposed once, here; a free
-    one once per distinct value in each block, in one batched ``eigh``.
+    one once per row, all rows of a block in one batched ``eigh``.
     """
     ensemble = OffsetEnsemble(()) if ensemble is None else ensemble
     omega = template[0].omega

@@ -157,16 +157,12 @@ def shared_drive(cp: CompositePulse) -> tuple[float, float]:
 def drive_eigenpairs(
     cfg: SystemConfig, delta: float | np.ndarray, omega: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (w, V) of H(delta, omega, 0) = H(0, omega, 0) - delta * P_e.
+    """Eigenpairs (w, V) of ``build_hamiltonian``'s H(delta, omega, 0).
 
-    P_e projects onto the excited block.  ``delta`` is one detuning, giving
-    shapes (dim,) and (dim, dim), or a (B,) array of them, giving (B, dim)
-    and (B, dim, dim) from one batched ``eigh``.
+    ``delta`` is one detuning, giving shapes (dim,) and (dim, dim), or a (B,)
+    array of them, giving (B, dim) and (B, dim, dim) from one batched ``eigh``.
     """
-    h = build_hamiltonian(cfg, delta=0.0, omega=omega, phi=0.0)
-    excited = np.diag((np.arange(cfg.dim) >= cfg.cutoff).astype(float))
-    delta = np.asarray(delta, dtype=float)
-    return np.linalg.eigh(h - delta[..., None, None] * excited)
+    return np.linalg.eigh(build_hamiltonian(cfg, delta=delta, omega=omega, phi=0.0))
 
 
 def train_product(
@@ -188,7 +184,8 @@ def train_product(
     as Z V e^{-i w t_k} V^dagger Z^dagger, where Z = diag(1_g, e^{i phi_k} 1_e)
     only scales the excited rows; the first pulse acts first, as in
     ``composite_unitary``.  Without ``states`` the first pulse's right factor
-    is (Z V)^dagger itself.
+    is (Z V)^dagger itself.  A negative or non-finite duration, or a
+    non-finite phase, raises ValueError.
     """
     durations = np.asarray(durations, dtype=float)
     phases = np.asarray(phases, dtype=float)
@@ -197,6 +194,12 @@ def train_product(
             f"durations {durations.shape} and phases {phases.shape} must both be "
             "(B, n) with n >= 1"
         )
+    bad = durations[~(np.isfinite(durations) & (durations >= 0))]
+    if bad.size:
+        raise ValueError(f"durations must be finite and >= 0, got {bad[0]}")
+    bad = phases[~np.isfinite(phases)]
+    if bad.size:
+        raise ValueError(f"phases must be finite, got {bad[0]}")
     if states is not None:
         states = np.asarray(states, dtype=complex)
         dim = vectors.shape[-1]

@@ -321,7 +321,8 @@ def ensemble_gradients(
     propagator, G = mask (|U| - T) U / (|U| L), which is set to 0 where
     |U| = 0 (a kink of the loss) or L = 0.  Its cotangent in pulse k's frame,
     M~_k = V^dagger Z_k^dagger (U_after^dagger G U_before^dagger) Z_k V, gives
-    every slot of that pulse, with E = V^dagger P_e V and e_a = e^{-i w_a t_k}:
+    every slot of that pulse, with P_e the projector onto the excited block,
+    E = V^dagger P_e V and e_a = e^{-i w_a t_k}:
     d/dt_k = Re sum_a conj(M~_aa) (-i w_a) e_a; d/dphi_k =
     Re sum_ab conj(M~_ab) i E_ab (e_b - e_a), from dP/dphi = i [P_e, P]; and
     d/ddelta, from dH/ddelta = -P_e, sums -Re conj(M~_ab) Gamma_ab E_ab over

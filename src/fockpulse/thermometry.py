@@ -114,10 +114,13 @@ def thermal_distribution(nbar: float, cutoff: int) -> PhononDistribution:
 def _window_columns(cfg: SystemConfig, window: Sequence[int], space: str) -> list[int]:
     """Profile column of each window state in the space ``cfg`` retains.
 
-    The window must hold distinct integers, at least one, each inside
-    [fock_offset, fock_offset + cutoff); the error names ``space``.
+    The window must be a list of distinct integers, at least one, each
+    inside [fock_offset, fock_offset + cutoff); the error names ``space``.
     """
-    window = list(window)
+    try:
+        window = list(window)
+    except TypeError:
+        raise ValueError(f"window must be a list of states, got {window!r}") from None
     if not window:
         raise ValueError("window must hold at least one state")
     for n in window:
@@ -201,8 +204,9 @@ def correct_populations(
 ) -> tuple[np.ndarray, float]:
     """Solve a . R = M with a dense solve (never an inverse).
 
-    Returns (corrected, condition number of a).  Raises IllConditionedError
-    when the coefficient matrix is singular or its condition number exceeds
+    Returns (corrected, condition number of a).  Raises ValueError when an
+    entry of either input is not finite, and IllConditionedError when the
+    coefficient matrix is singular or its condition number exceeds
     CONDITION_LIMIT, since the solution would amplify measurement error
     beyond use.
     """
@@ -215,6 +219,9 @@ def correct_populations(
             f"measured vector shape {measured.shape} does not match "
             f"matrix {coeff.shape}"
         )
+    for name, values in (("coefficient matrix", coeff), ("measured vector", measured)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite, got {values.tolist()}")
     condition = float(np.linalg.cond(coeff))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise IllConditionedError(condition)

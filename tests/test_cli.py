@@ -520,7 +520,7 @@ THERMOMETRY = {
         (
             "thermometry",
             {"thermometry": {**THERMOMETRY, "window": 5}},
-            "nonempty 'window' list",
+            "window must be a list of states",
         ),
         ("design", {"system": {"cutoff": 3.5}}, "cutoff must be an integer"),
         (

@@ -182,6 +182,16 @@ class TestBuildHamiltonian:
         assert np.allclose(np.diag(h)[:3], [24.0, 25.0, 26.0])
         assert np.allclose(np.diag(h)[3:], [23.0, 24.0, 25.0])
 
+    @pytest.mark.parametrize("fock_offset", [0, 7])
+    def test_detuning_batch_stacks_the_scalar_calls(self, fock_offset):
+        cfg = SystemConfig(cutoff=4, fock_offset=fock_offset)
+        deltas = np.array([0.25, 1.0, -0.7, 2.5, 1.0])
+        h = build_hamiltonian(cfg, delta=deltas, omega=0.6, phi=0.4)
+        assert h.shape == (5, cfg.dim, cfg.dim)
+        for d, one in zip(deltas.tolist(), h):
+            scalar = build_hamiltonian(cfg, delta=d, omega=0.6, phi=0.4)
+            assert one.tobytes() == scalar.tobytes()
+
 
 class TestPropagate:
     def test_zero_time_is_identity(self):

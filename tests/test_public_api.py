@@ -1,7 +1,13 @@
-"""The package exports exactly the names its modules declare public."""
+"""The package exports exactly the names its modules declare public, and the
+README's Python example runs as written."""
 
+import contextlib
 import inspect
+import io
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fockpulse
@@ -65,3 +71,20 @@ def test_retired_names_are_gone():
     assert list(inspect.signature(fockspace.displacement_exponential).parameters) == [
         "cfg"
     ]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_example_runs():
+    section = README.read_text().split("## Python API\n")[1].split("\n## ")[0]
+    (example,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(example, namespace)
+    loss, *rows = out.getvalue().splitlines()
+    assert float(loss) == namespace["result"].loss < 0.5
+    # it prints the modulus of a swap of |g,0> and |e,1>
+    modulus = np.array([float(v) for v in re.findall(r"[\d.]+", " ".join(rows))])
+    modulus = modulus.reshape(6, 6)
+    assert min(modulus[0, 4], modulus[4, 0]) >= 0.99

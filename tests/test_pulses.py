@@ -336,6 +336,12 @@ class TestTrainUnitaries:
             train_product(w, v, np.ones((2, 3)), np.ones((2, 2)))
         with pytest.raises(ValueError, match="n >= 1"):
             train_product(w, v, np.ones((2, 0)), np.ones((2, 0)))
+        for t in (-5.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="durations must be finite and >= 0"):
+                train_product(w, v, [[t, 1.0]], [[0.0, 0.0]])
+        for phi in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="phases must be finite"):
+                train_product(w, v, [[5.0, 1.0]], [[0.0, phi]])
 
     def test_shared_drive(self):
         cp = uniform_pulse_train(3, delta=1.2, omega=OMEGA)

@@ -109,6 +109,7 @@ def test_coefficient_matrix_rejects_bad_windows():
         ([True, 1], "window state must be an integer"),
         ([1, 1], "distinct"),
         ([], "at least one state"),
+        (5, "window must be a list of states, got 5"),
     ],
 )
 def test_coefficient_matrix_checks_window_states(window, message):
@@ -226,6 +227,21 @@ def test_correct_populations_shape_errors():
         correct_populations(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError, match="does not match"):
         correct_populations(np.eye(3), np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "coeff, measured, message",
+    [
+        (np.eye(2), [np.nan, 0.5], "measured vector must be finite"),
+        (np.eye(2), [0.5, np.inf], "measured vector must be finite"),
+        ([[1.0, np.nan], [0.0, 1.0]], [0.5, 0.5], "coefficient matrix must be finite"),
+        ([[1.0, 0.0], [0.0, np.inf]], [0.5, 0.5], "coefficient matrix must be finite"),
+    ],
+)
+def test_correct_populations_rejects_non_finite_input(coeff, measured, message):
+    with pytest.raises(ValueError, match=message) as info:
+        correct_populations(coeff, measured)
+    assert not isinstance(info.value, IllConditionedError)
 
 
 def _probe_pulses(count: int) -> list[CompositePulse]:
