@@ -456,8 +456,12 @@ def cmd_robustness(args: argparse.Namespace) -> int:
             f"(duration offsets in 1/nu units; multiply by {MICROSECONDS_PER_UNIT:.6f}"
             " for microseconds at a 1 MHz mode)"
         )
-    nearest_zero = int(np.argmin(np.abs(result.offsets)))
-    print(f"probability at zero offset: {result.probabilities[nearest_zero]:.4f}")
+    # an even number of points puts no grid point at 0
+    nearest = int(np.argmin(np.abs(result.offsets)))
+    print(
+        f"probability at the offset nearest 0 ({result.offsets[nearest]:.4g}): "
+        f"{result.probabilities[nearest]:.4f}"
+    )
     print(f"minimum over the sweep: {result.probabilities.min():.4f}")
     window = result.widest_window(0.99)
     if window is None:

@@ -203,10 +203,10 @@ def propagate(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
 
     Uses the eigendecomposition of H, which stays accurate for the long
     durations composite pulses need.  Raises if H is not Hermitian within a
-    tolerance scaled to its largest entry, or if t is negative.
+    tolerance scaled to its largest entry, or if t is not a finite number
+    >= 0.
     """
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
+    check_real("duration", duration, 0)
     scale = max(1.0, float(np.abs(hamiltonian).max()))
     herm_err = float(np.abs(hamiltonian - hamiltonian.conj().T).max())
     if herm_err > _HERMITICITY_RTOL * scale:

@@ -20,10 +20,11 @@ loss does not depend on the block it is evaluated in.  The kernel's
 propagators agree with the reference ``composite_unitary`` only up to
 rounding.
 
-The objective is the ``robust_loss`` over the pulses the offset grids of an
-``OffsetEnsemble`` perturb the candidate into.  Without an ensemble it is that
-of ``OffsetEnsemble(())``, the nominal pulse alone, which equals its modulus
-loss bit for bit.  The swarm treats a non-finite loss as +inf, so such a
+The objective is the soft worst case of the modulus loss over the pulses the
+offset grids of an ``OffsetEnsemble`` perturb the candidate into, as
+``ensemble_losses`` scores it.  Without an ensemble it is that of
+``OffsetEnsemble(())``, the nominal pulse alone, which equals its modulus loss
+bit for bit.  The swarm treats a non-finite loss as +inf, so such a
 candidate never becomes its incumbent.
 
 Progress goes to the ``fockpulse.optimizer`` logger at INFO level: the swarm's
@@ -383,8 +384,9 @@ def design_pulse(
     global best-so-far trace across all stages, its x-axis the evaluations
     spent so far: each stage's trace is shifted by the evaluations of the
     stages before it.
-    Every stage minimizes the same objective: ``robust_loss`` over
-    ``ensemble``, which defaults to the nominal pulse alone.
+    Every stage minimizes the same objective: the soft worst case of the
+    loss over ``ensemble`` (``ensemble_losses``), which defaults to the
+    nominal pulse alone.
     """
     check_integer("starts", starts, 1)
     check_integer("refine_top", refine_top)

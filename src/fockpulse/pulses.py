@@ -43,7 +43,6 @@ __all__ = [
     "composite_unitary",
     "drive_eigenpairs",
     "train_product",
-    "shared_drive",
     "analytic_swap_parameters",
     "uniform_pulse_train",
     "weak_drive_layout",
@@ -72,10 +71,9 @@ class PulseParams:
     t: float
 
     def __post_init__(self) -> None:
-        for name in ("delta", "omega", "phi", "t"):
+        for name in ("delta", "omega", "phi"):
             check_real(name, getattr(self, name))
-        if self.t < 0:
-            raise ValueError(f"duration must be >= 0, got {self.t}")
+        check_real("t", self.t, 0)
 
     def canonical(self) -> "PulseParams":
         """Copy with the phase wrapped to [0, 2*pi).
@@ -144,14 +142,6 @@ def composite_unitary(cfg: SystemConfig, cp: CompositePulse) -> np.ndarray:
         h = build_hamiltonian(cfg, delta=p.delta, omega=p.omega, phi=p.phi)
         u = propagate(h, p.t) @ u
     return u
-
-
-def shared_drive(cp: CompositePulse) -> tuple[float, float]:
-    """(delta, omega) common to every pulse of ``cp``; raises if they differ."""
-    delta, omega = cp[0].delta, cp[0].omega
-    if any(p.delta != delta or p.omega != omega for p in cp):
-        raise ValueError("the pulses of the train do not share one (delta, omega)")
-    return delta, omega
 
 
 def drive_eigenpairs(

@@ -5,14 +5,15 @@ or too short (common timing offset), and the relative laser phases being off.
 The first pulse's phase is the global reference, so phase offsets only ever
 touch later pulses.
 
-The same offset grids can also be designed against: ``robust_loss`` scores a
-pulse by a soft worst case of the modulus loss over every pulse that the
-grids of an ``OffsetEnsemble`` perturb it into.  A duration offset only
-changes the times and a phase offset only the phases of a train, so every
-member shares the drive of its pulse, and ``ensemble_losses`` scores a whole
-block of trains with all their members in one ``train_product`` call.
-``ensemble_gradients`` returns the same losses with their exact gradient,
-from one backward pass over the same eigenpairs.
+The same offset grids can also be designed against: ``ensemble_losses``
+scores each of a block of trains by a soft worst case of the modulus loss
+over every pulse that the grids of an ``OffsetEnsemble`` perturb it into.  A
+duration offset only changes the times and a phase offset only the phases of
+a train, so every member shares the drive of its pulse, and all members of
+the block run in one ``train_product`` call.  ``ensemble_gradients`` returns
+the same losses with their exact gradient, from one backward pass over the
+same eigenpairs.  The design objective of ``optimizer`` scores through these
+two.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ import numpy as np
 
 from .fockspace import SystemConfig, check_integer, check_real
 from .objective import TargetSpec, excitation_profile, modulus_loss
-from .pulses import (
-    CompositePulse,
-    _train_pass,
-    composite_unitary,
-    drive_eigenpairs,
-    shared_drive,
-    train_product,
-)
+from .pulses import CompositePulse, _train_pass, composite_unitary, train_product
 
 __all__ = [
     "SweepSpec",
@@ -40,13 +34,12 @@ __all__ = [
     "OffsetEnsemble",
     "perturb",
     "sweep",
-    "robust_loss",
     "ensemble_losses",
     "ensemble_gradients",
 ]
 
 
-# Inverse temperature of the log-sum-exp in ``robust_loss``: members whose
+# Inverse temperature of the log-sum-exp in ``_soft_worst``: members whose
 # loss lies a few 1e-3 below the worst barely count.
 _SHARPNESS = 1000.0
 
@@ -236,9 +229,9 @@ def sweep(
 ) -> SweepResult:
     """Evaluate the probe across the offset grid.
 
-    The grid always contains offset 0 when the range is symmetric; at offsets
-    that would drive a duration negative the duration is clamped to zero and
-    the offset is recorded in ``clamped_offsets``.
+    A symmetric range puts offset 0 on the grid only for an odd number of
+    points; at offsets that would drive a duration negative the duration is
+    clamped to zero and the offset is recorded in ``clamped_offsets``.
     """
     offsets = spec.offsets()
     probabilities = np.empty_like(offsets)
@@ -256,21 +249,37 @@ def sweep(
 
 
 def _member_trains(
-    durations: np.ndarray, phases: np.ndarray, ensemble: OffsetEnsemble
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(M,) weights and the (B * M, n) unclamped durations and phases of the
-    M members of each of B trains, train by train."""
+    energies: np.ndarray,
+    vectors: np.ndarray,
+    durations: np.ndarray,
+    phases: np.ndarray,
+    ensemble: OffsetEnsemble,
+) -> tuple[np.ndarray, ...]:
+    """The M members of each of B trains, train by train, as the kernel runs
+    them: the (M,) weights, the eigenpairs each member runs on (repeated over
+    the members when each row has its own drive), the (B * M, n) durations
+    clamped at 0, the (B * M, n) phases, and the mask of the durations that
+    were not clamped."""
     rows, count = durations.shape
     weights, dt, dphi = ensemble.offsets(count)
     size = weights.size
     t = (durations[:, None, :] + dt).reshape(rows * size, count)
     phi = (phases[:, None, :] + dphi).reshape(rows * size, count)
-    return weights, t, phi
+    if energies.ndim == 2 and size > 1:  # every member shares its drive
+        energies = np.repeat(energies, size, axis=0)
+        vectors = np.repeat(vectors, size, axis=0)
+    return weights, energies, vectors, np.maximum(t, 0.0), phi, t > 0.0
 
 
 def _soft_worst(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The log-sum-exp of ``robust_loss`` over each row of weighted member
-    losses, and its derivative by each of them: the row's softmax."""
+    """Soft worst case of each row of weighted member losses, and its
+    derivative by each of them: the row's softmax.
+
+    With a row's losses l_i, its largest m and s = ``_SHARPNESS`` this is the
+    log-sum-exp m + log(mean(exp(s * (l_i - m)))) / s: no term can overflow,
+    the value lies within log(N) / s below m and never above it, and a row of
+    one loss gives that loss unchanged.
+    """
     m = losses.max(axis=1)
     s = _SHARPNESS
     terms = np.exp(s * (losses - m[:, None]))
@@ -286,17 +295,18 @@ def ensemble_losses(
     target: TargetSpec,
     ensemble: OffsetEnsemble,
 ) -> np.ndarray:
-    """``robust_loss`` of each of B trains, all members in one kernel call.
+    """Soft worst case of the weighted modulus loss over the ensemble of each
+    of B trains, all members in one kernel call.
 
     ``durations`` and ``phases`` are (B, n); ``energies`` and ``vectors`` are
     the eigenpairs of the trains' drive, shared or one per row, as
-    ``train_product`` takes them.
+    ``train_product`` takes them.  The ensemble ``OffsetEnsemble(())`` of the
+    nominal pulse alone gives each train's modulus loss bit for bit.
     """
-    weights, t, phi = _member_trains(durations, phases, ensemble)
-    if energies.ndim == 2 and weights.size > 1:  # every member shares its drive
-        energies = np.repeat(energies, weights.size, axis=0)
-        vectors = np.repeat(vectors, weights.size, axis=0)
-    u = train_product(energies, vectors, np.maximum(t, 0.0), phi)
+    weights, energies, vectors, t, phi, _ = _member_trains(
+        energies, vectors, durations, phases, ensemble
+    )
+    u = train_product(energies, vectors, t, phi)
     losses = weights * modulus_loss(u, target).reshape(-1, weights.size)
     return _soft_worst(losses)[0]
 
@@ -334,17 +344,13 @@ def ensemble_gradients(
     duration is clamped at 0 adds nothing to that pulse's d/dt.
     """
     rows, count = durations.shape
-    weights, t, phi = _member_trains(durations, phases, ensemble)
+    weights, energies, vectors, t, phi, live = _member_trains(
+        energies, vectors, durations, phases, ensemble
+    )
     size = weights.size
     adjoint = np.conj(np.swapaxes(vectors, -1, -2))
     c = vectors.shape[-1] // 2
     excited = adjoint[..., c:] @ vectors[..., c:, :]  # E = V^dagger P_e V
-    if energies.ndim == 2 and size > 1:  # every member shares its drive
-        energies, vectors, adjoint, excited = (
-            np.repeat(a, size, axis=0) for a in (energies, vectors, adjoint, excited)
-        )
-    live = t > 0.0
-    t = np.maximum(t, 0.0)
     entering: list[np.ndarray] = []
     u, decay, hinge = _train_pass(energies, vectors, t, phi, entering=entering)
     member = modulus_loss(u, target)
@@ -386,27 +392,4 @@ def ensemble_gradients(
         d_t.reshape(rows, size, count).sum(axis=1),
         d_phi.reshape(rows, size, count).sum(axis=1),
         d_delta.reshape(rows, size).sum(axis=1),
-    )
-
-
-def robust_loss(
-    cfg: SystemConfig,
-    cp: CompositePulse,
-    target: TargetSpec,
-    ensemble: OffsetEnsemble,
-) -> float:
-    """Soft worst case of the weighted modulus loss over the ensemble of ``cp``.
-
-    With weighted losses l_i, the largest m and s = ``_SHARPNESS`` this is
-    m + log(mean(exp(s * (l_i - m)))) / s: no term can overflow, the value
-    lies within log(N) / s below m and never above it, and an ensemble of
-    the nominal pulse alone gives its modulus loss unchanged.  The pulses of
-    ``cp`` must share one drive (delta, omega).
-    """
-    delta, omega = shared_drive(cp)
-    energies, vectors = drive_eigenpairs(cfg, delta, omega)
-    durations = np.array([[p.t for p in cp]])
-    phases = np.array([[p.phi for p in cp]])
-    return float(
-        ensemble_losses(energies, vectors, durations, phases, target, ensemble)[0]
     )

@@ -204,14 +204,18 @@ def correct_populations(
 ) -> tuple[np.ndarray, float]:
     """Solve a . R = M with a dense solve (never an inverse).
 
-    Returns (corrected, condition number of a).  Raises ValueError when an
-    entry of either input is not finite, and IllConditionedError when the
-    coefficient matrix is singular or its condition number exceeds
-    CONDITION_LIMIT, since the solution would amplify measurement error
-    beyond use.
+    Returns (corrected, condition number of a).  Raises ValueError when
+    either input holds values that are not integer or real (complex, boolean,
+    text) or not finite, and IllConditionedError when the coefficient matrix
+    is singular or its condition number exceeds CONDITION_LIMIT, since the
+    solution would amplify measurement error beyond use.
     """
-    coeff = np.asarray(coeff, dtype=float)
-    measured = np.asarray(measured, dtype=float)
+    coeff, measured = np.asarray(coeff), np.asarray(measured)
+    for name, values in (("coefficient matrix", coeff), ("measured vector", measured)):
+        if values.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must hold real numbers, got {values.dtype}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite, got {values.tolist()}")
     if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got {coeff.shape}")
     if measured.shape != (coeff.shape[0],):
@@ -219,9 +223,6 @@ def correct_populations(
             f"measured vector shape {measured.shape} does not match "
             f"matrix {coeff.shape}"
         )
-    for name, values in (("coefficient matrix", coeff), ("measured vector", measured)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} must be finite, got {values.tolist()}")
     condition = float(np.linalg.cond(coeff))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise IllConditionedError(condition)

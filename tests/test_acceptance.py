@@ -29,7 +29,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.special import eval_genlaguerre, gammaln
 
 from fockpulse import (
     CompositePulse,
@@ -59,6 +58,7 @@ from fockpulse import (
     weak_drive_layout,
     strong_drive_layout,
 )
+from test_fockspace import displacement_oracle
 
 WEAK = 0.1
 STRONG = 1.0
@@ -333,15 +333,6 @@ def test_high_fock_recovery(acceptance):
     assert err.max() <= 0.02
 
 
-def _laguerre_oracle(eta: float, m: int, n: int) -> complex:
-    alpha = -1j * eta
-    if m < n:
-        m, n = n, m
-    x = eta * eta
-    ratio = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
-    return ratio * alpha ** (m - n) * np.exp(-x / 2.0) * eval_genlaguerre(n, m - n, x)
-
-
 def test_numerical_bedrock(acceptance):
     cfg = SystemConfig(cutoff=8)
     h = build_hamiltonian(cfg, delta=0.8, omega=0.3, phi=0.7)
@@ -354,7 +345,7 @@ def test_numerical_bedrock(acceptance):
 
     disp = displacement_exponential(cfg)
     laguerre_err = max(
-        abs(disp[m, n] - _laguerre_oracle(cfg.eta, m, n))
+        abs(disp[m, n] - displacement_oracle(cfg.eta, m, n))
         for m in range(5)
         for n in range(5)
     )

@@ -398,7 +398,7 @@ def test_robustness_command_writes_sweep(tmp_path, capsys):
     probabilities = np.array(document["probabilities"])
     assert np.all(probabilities >= 0) and np.all(probabilities <= 1)
     out_text = capsys.readouterr().out
-    assert "probability at zero offset" in out_text
+    assert "probability at the offset nearest 0 (0): " in out_text
     assert "0.99" in out_text  # the >= 0.99 window (or its absence) is reported
 
 
@@ -406,6 +406,21 @@ def _robustness(out, entry, *extra) -> int:
     return main(
         ["--quiet", "robustness", "--pulse-id", entry.id, "--range", "-5", "5"]
         + ["--points", "11", "--out", str(out), *extra]
+    )
+
+
+def test_robustness_names_the_offset_nearest_zero(tmp_path, capsys):
+    out = tmp_path / "runs"
+    entry = _store_pulse(out, 0)
+    # four points on [-1, 1] are -1, -1/3, 1/3 and 1: none of them is 0
+    extra = ("--axis", "phase", "--range", "-1", "1", "--points", "4")
+    assert _robustness(out, entry, *extra) == 0
+    document = json.loads((out / f"robustness-{entry.id}-phase.json").read_text())
+    # rounding puts the grid's 1/3 a hair nearer 0 than its -1/3
+    assert abs(document["offsets"][2]) < abs(document["offsets"][1])
+    value = document["probabilities"][2]
+    assert f"probability at the offset nearest 0 (0.3333): {value:.4f}" in (
+        capsys.readouterr().out
     )
 
 

@@ -230,5 +230,9 @@ class TestPropagate:
             propagate(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1.0)
 
     def test_rejects_negative_duration(self):
-        with pytest.raises(ValueError, match="duration"):
+        with pytest.raises(ValueError, match="duration must be >= 0, got -1.0"):
             propagate(np.eye(2, dtype=complex), -1.0)
+        # nor a non-finite one, or a bool standing in for t = 1
+        for duration in (np.nan, np.inf, True):
+            with pytest.raises(ValueError, match="duration"):
+                propagate(np.eye(2, dtype=complex), duration)

@@ -23,7 +23,6 @@ from fockpulse import (
     perturb,
     pso_search,
     refine,
-    robust_loss,
     shelving_target,
     strong_drive_layout,
     swap_target,
@@ -244,7 +243,7 @@ def test_block_rows_do_not_depend_on_their_block(strong):
         assert nominal(row)[0] == losses[i]
         assert robust(row)[0] == robust_losses[i]
         cp = layout.unpack(block[i], template)
-        assert robust_loss(cfg, cp, target, ensemble) == robust_losses[i]
+        assert robust(layout.pack(cp)[None])[0] == robust_losses[i]
         assert modulus_loss(composite_unitary(cfg, cp), target) == pytest.approx(
             losses[i], abs=1e-12
         )
@@ -286,14 +285,15 @@ def test_robust_search_reports_the_ensemble_loss():
     pcfg = PsoConfig(particles=8, iterations=5, seed=3)
     plain = pso_search(CFG, TEMPLATE, LAYOUT, TARGET, pcfg)
     robust = pso_search(CFG, TEMPLATE, LAYOUT, TARGET, pcfg, ensemble=ensemble)
-    assert robust.loss == robust_loss(CFG, robust.pulse, TARGET, ensemble)
+    objective = _pulse_objective(CFG, TEMPLATE, LAYOUT, TARGET, ensemble)
+    assert robust.loss == objective(LAYOUT.pack(robust.pulse)[None])[0]
     assert robust.loss != plain.loss
     polished = refine(
         CFG, robust.pulse, LAYOUT, TARGET, RefineConfig(max_iters=5), ensemble=ensemble
     )
     assert polished.loss <= robust.loss
     assert polished.loss == pytest.approx(
-        robust_loss(CFG, polished.pulse, TARGET, ensemble), abs=1e-12
+        objective(LAYOUT.pack(polished.pulse)[None])[0], abs=1e-12
     )
 
 

@@ -33,6 +33,8 @@ RETIRED = (
     "train_states",
     "ThermometryError",
     "profiles_to_coefficients",
+    "robust_loss",
+    "shared_drive",
 )
 
 

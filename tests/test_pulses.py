@@ -13,7 +13,6 @@ from fockpulse.pulses import (
     analytic_swap_parameters,
     composite_unitary,
     drive_eigenpairs,
-    shared_drive,
     strong_drive_layout,
     train_product,
     uniform_pulse_train,
@@ -25,7 +24,7 @@ ETA, OMEGA = 0.084, 0.1
 
 class TestPulseParams:
     def test_rejects_negative_duration(self):
-        with pytest.raises(ValueError, match="duration"):
+        with pytest.raises(ValueError, match="t must be >= 0, got -1.0"):
             PulseParams(delta=1.0, omega=0.1, phi=0.0, t=-1.0)
 
     def test_rejects_non_finite(self):
@@ -342,13 +341,6 @@ class TestTrainUnitaries:
         for phi in (np.nan, -np.inf):
             with pytest.raises(ValueError, match="phases must be finite"):
                 train_product(w, v, [[5.0, 1.0]], [[0.0, phi]])
-
-    def test_shared_drive(self):
-        cp = uniform_pulse_train(3, delta=1.2, omega=OMEGA)
-        assert shared_drive(cp) == (1.2, OMEGA)
-        mixed = CompositePulse(cp.pulses[:2] + (PulseParams(1.0, OMEGA, 0.0, 1.0),))
-        with pytest.raises(ValueError, match="share"):
-            shared_drive(mixed)
 
 
 class TestStateBlocks:

@@ -236,6 +236,10 @@ def test_correct_populations_shape_errors():
         (np.eye(2), [0.5, np.inf], "measured vector must be finite"),
         ([[1.0, np.nan], [0.0, 1.0]], [0.5, 0.5], "coefficient matrix must be finite"),
         ([[1.0, 0.0], [0.0, np.inf]], [0.5, 0.5], "coefficient matrix must be finite"),
+        # values that are not real numbers are not read as their real part or 0/1
+        (np.eye(2) * (1 + 1j), [0.5, 0.5], "coefficient matrix must hold real"),
+        (np.eye(2), [True, False], "measured vector must hold real"),
+        (np.eye(2), ["0.5", "0.5"], "measured vector must hold real"),
     ],
 )
 def test_correct_populations_rejects_non_finite_input(coeff, measured, message):
