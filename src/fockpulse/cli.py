@@ -260,10 +260,8 @@ def _load_pulse_arg(
     """The entry named by --pulse-file or --pulse-id, and its system at --cutoff."""
     if args.pulse_file:
         entry = load_entry(Path(args.pulse_file))
-    elif args.pulse_id:
-        entry = load_entry(find_entry(Path(args.out) / "library", args.pulse_id))
     else:
-        raise ValueError("provide --pulse-id or --pulse-file")
+        entry = load_entry(find_entry(Path(args.out) / "library", args.pulse_id))
     system = entry.system
     if args.cutoff is not None:
         system = dataclasses.replace(system, cutoff=args.cutoff)
@@ -512,8 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rob.add_argument("--cutoff", type=int, help="evaluate at a different cutoff")
     p_rob.set_defaults(func=cmd_robustness)
     for p in (p_eval, p_rob):
-        # not required: giving neither exits 2 through _load_pulse_arg
-        pulse = p.add_mutually_exclusive_group()
+        pulse = p.add_mutually_exclusive_group(required=True)
         pulse.add_argument("--pulse-id", help="library id (may be abbreviated)")
         pulse.add_argument("--pulse-file", help="path to a pulse entry JSON")
     for p in (p_design, p_eval, p_thermo, p_rob):

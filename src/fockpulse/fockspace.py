@@ -12,6 +12,11 @@ delta and the Rabi rate omega are in units of nu, and durations in units of
 1/nu.  So |n> has mode energy n, and delta = 1 makes the first blue sideband
 resonant.  A mode at another frequency nu' is the same problem with
 delta/nu', omega/nu' and nu' * t, so no result depends on a choice of nu.
+
+The drive couples the internal levels through the full displacement
+exp(-i * eta * (a_dag + a)), not its first-order Lamb-Dicke expansion.
+``displacement_exponential`` is the one builder of that operator: one cached,
+read-only array per ``SystemConfig``.
 """
 
 from __future__ import annotations
@@ -125,43 +130,18 @@ class SystemConfig:
 
 
 @lru_cache(maxsize=None)
-def _ladder(cutoff: int, fock_offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (creation, annihilation) on the retained mode levels.
-
-    The matrices are real, act on the mode factor only, and are truncated:
-    the top level is annihilated by the creation operator, so the canonical
-    commutator holds everywhere except the final diagonal entry.
-    """
-    lowering = np.zeros((cutoff, cutoff))
-    for j in range(1, cutoff):
-        # <n-1| a |n> = sqrt(n) with n the absolute Fock index.
-        lowering[j - 1, j] = np.sqrt(fock_offset + j)
-    raising = lowering.T.copy()
-    lowering.flags.writeable = False
-    raising.flags.writeable = False
-    return raising, lowering
-
-
-def _expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i * h * t) of a Hermitian h through its eigendecomposition."""
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-
-
-@lru_cache(maxsize=None)
-def _displacement(eta: float, cutoff: int, fock_offset: int) -> np.ndarray:
-    raising, lowering = _ladder(cutoff, fock_offset)
-    out = _expm_hermitian(eta * (raising + lowering), 1.0)
-    out.flags.writeable = False
-    return out
-
-
 def displacement_exponential(cfg: SystemConfig) -> np.ndarray:
     """Unitary exp(-i * eta * (a_dag + a)) on the mode levels: the factor that
-    dresses the |e><g| drive term.  Results are cached per configuration, so
-    the returned array is read-only.
+    dresses the |e><g| drive term.
+
+    a + a_dag is truncated to the retained levels, with <n-1| a |n> = sqrt(n)
+    for the absolute Fock index n.  The result is cached per configuration,
+    so the returned array is read-only.
     """
-    return _displacement(cfg.eta, cfg.cutoff, cfg.fock_offset)
+    root_n = np.sqrt(cfg.fock_indices()[1:])
+    out = propagate(cfg.eta * (np.diag(root_n, 1) + np.diag(root_n, -1)), 1.0)
+    out.flags.writeable = False
+    return out
 
 
 def build_hamiltonian(
@@ -213,4 +193,5 @@ def propagate(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
         raise ValueError(
             f"hamiltonian is not Hermitian: max asymmetry {herm_err:.3e}"
         )
-    return _expm_hermitian(hamiltonian, duration)
+    vals, vecs = np.linalg.eigh(hamiltonian)
+    return (vecs * np.exp(-1j * vals * duration)) @ vecs.conj().T

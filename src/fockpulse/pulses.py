@@ -177,19 +177,7 @@ def train_product(
     is (Z V)^dagger itself.  A negative or non-finite duration, or a
     non-finite phase, raises ValueError.
     """
-    durations = np.asarray(durations, dtype=float)
-    phases = np.asarray(phases, dtype=float)
-    if durations.ndim != 2 or durations.shape != phases.shape or not durations.shape[1]:
-        raise ValueError(
-            f"durations {durations.shape} and phases {phases.shape} must both be "
-            "(B, n) with n >= 1"
-        )
-    bad = durations[~(np.isfinite(durations) & (durations >= 0))]
-    if bad.size:
-        raise ValueError(f"durations must be finite and >= 0, got {bad[0]}")
-    bad = phases[~np.isfinite(phases)]
-    if bad.size:
-        raise ValueError(f"phases must be finite, got {bad[0]}")
+    durations, phases = _checked_trains(durations, phases)
     if states is not None:
         states = np.asarray(states, dtype=complex)
         dim = vectors.shape[-1]
@@ -198,6 +186,32 @@ def train_product(
                 f"states must be a ({dim}, k) block, got shape {states.shape}"
             )
     return _train_pass(energies, vectors, durations, phases, states)[0]
+
+
+def _checked_trains(
+    durations: np.ndarray, phases: np.ndarray, nonnegative: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """``durations`` and ``phases`` as (B, n) float arrays with n >= 1, all
+    finite and, when ``nonnegative`` is set, every duration >= 0; otherwise
+    ValueError."""
+    durations = np.asarray(durations, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    if durations.ndim != 2 or durations.shape != phases.shape or not durations.shape[1]:
+        raise ValueError(
+            f"durations {durations.shape} and phases {phases.shape} must both be "
+            "(B, n) with n >= 1"
+        )
+    ok = np.isfinite(durations)
+    if nonnegative:
+        ok &= durations >= 0
+    bad = durations[~ok]
+    if bad.size:
+        bound = " and >= 0" if nonnegative else ""
+        raise ValueError(f"durations must be finite{bound}, got {bad[0]}")
+    bad = phases[~np.isfinite(phases)]
+    if bad.size:
+        raise ValueError(f"phases must be finite, got {bad[0]}")
+    return durations, phases
 
 
 def _train_pass(
@@ -372,6 +386,8 @@ def weak_drive_layout(count: int, *, eta: float, omega: float) -> ParamLayout:
     Durations are bounded by four ideal-sideband half-periods, generous for
     every pulse seen here.
     """
+    check_real("eta", eta, positive=True)
+    check_real("omega", omega, positive=True)
     return ParamLayout(count, 4.0 * math.pi / (eta * omega))
 
 

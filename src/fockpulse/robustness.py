@@ -10,10 +10,10 @@ scores each of a block of trains by a soft worst case of the modulus loss
 over every pulse that the grids of an ``OffsetEnsemble`` perturb it into.  A
 duration offset only changes the times and a phase offset only the phases of
 a train, so every member shares the drive of its pulse, and all members of
-the block run in one ``train_product`` call.  ``ensemble_gradients`` returns
-the same losses with their exact gradient, from one backward pass over the
-same eigenpairs.  The design objective of ``optimizer`` scores through these
-two.
+the block run in one pass of ``train_product``'s kernel.
+``ensemble_gradients`` returns the same losses with their exact gradient,
+from one backward pass over the same eigenpairs.  The design objective of
+``optimizer`` scores through these two.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .fockspace import SystemConfig, check_integer, check_real
 from .objective import TargetSpec, excitation_profile, modulus_loss
-from .pulses import CompositePulse, _train_pass, composite_unitary, train_product
+from .pulses import CompositePulse, _checked_trains, _train_pass, composite_unitary
 
 __all__ = [
     "SweepSpec",
@@ -259,7 +259,9 @@ def _member_trains(
     them: the (M,) weights, the eigenpairs each member runs on (repeated over
     the members when each row has its own drive), the (B * M, n) durations
     clamped at 0, the (B * M, n) phases, and the mask of the durations that
-    were not clamped."""
+    were not clamped.  ``durations`` and ``phases`` must be finite (B, n)
+    arrays; a negative duration clamps at 0, as a member's does."""
+    durations, phases = _checked_trains(durations, phases, nonnegative=False)
     rows, count = durations.shape
     weights, dt, dphi = ensemble.offsets(count)
     size = weights.size
@@ -306,7 +308,7 @@ def ensemble_losses(
     weights, energies, vectors, t, phi, _ = _member_trains(
         energies, vectors, durations, phases, ensemble
     )
-    u = train_product(energies, vectors, t, phi)
+    u = _train_pass(energies, vectors, t, phi)[0]
     losses = weights * modulus_loss(u, target).reshape(-1, weights.size)
     return _soft_worst(losses)[0]
 
@@ -343,11 +345,11 @@ def ensemble_gradients(
     share of the log-sum-exp times their spec's weight, and a member whose
     duration is clamped at 0 adds nothing to that pulse's d/dt.
     """
-    rows, count = durations.shape
     weights, energies, vectors, t, phi, live = _member_trains(
         energies, vectors, durations, phases, ensemble
     )
     size = weights.size
+    rows, count = t.shape[0] // size, t.shape[1]
     adjoint = np.conj(np.swapaxes(vectors, -1, -2))
     c = vectors.shape[-1] // 2
     excited = adjoint[..., c:] @ vectors[..., c:, :]  # E = V^dagger P_e V

@@ -203,9 +203,22 @@ def test_evaluate_entry_without_a_field_exits_two_naming_the_file(tmp_path, capl
     assert "'loss'" in caplog.text
 
 
-def test_evaluate_requires_a_pulse_reference(tmp_path):
-    code = main(["--quiet", "evaluate", "--out", str(tmp_path)])
-    assert code == 2
+def test_evaluate_requires_a_pulse_reference(tmp_path, capsys):
+    # argparse requires one of the two options, for robustness as for evaluate
+    for argv in (["evaluate"], ["robustness", "--axis", "phase"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--quiet", *argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "one of the arguments --pulse-id --pulse-file is required" in err
+
+
+def test_design_with_zero_eta_exits_two_naming_eta(tmp_path, caplog):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, system={"cutoff": 3, "eta": 0})
+    argv = ["--quiet", "design", "--config", str(cfg_path), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "eta must be positive" in caplog.text
 
 
 def test_format_option_is_gone(tmp_path, capsys):

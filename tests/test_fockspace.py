@@ -9,7 +9,6 @@ from scipy.special import eval_genlaguerre, gammaln
 from fockpulse.fockspace import (
     SystemConfig,
     build_hamiltonian,
-    _ladder,
     displacement_exponential,
     propagate,
 )
@@ -85,32 +84,27 @@ class TestSystemConfig:
         assert cfg.fock_indices().tolist() == list(range(24, 36))
 
 
-class TestLadderOperators:
-    def test_cutoff_two(self):
-        raising, lowering = _ladder(2, 0)
-        assert np.array_equal(lowering, [[0.0, 1.0], [0.0, 0.0]])
-        assert np.array_equal(raising, lowering.T)
-
-    def test_matrix_elements(self):
-        _, lowering = _ladder(6, 0)
-        for n in range(1, 6):
-            assert lowering[n - 1, n] == pytest.approx(np.sqrt(n))
-
-    def test_commutator_corner(self):
-        # [a, a_dag] = 1 except the truncation corner, which collects -(top n).
-        raising, lowering = _ladder(4, 0)
-        comm = lowering @ raising - raising @ lowering
-        expected = np.eye(4)
-        expected[3, 3] = -(4 - 1)
-        assert np.allclose(comm, expected, atol=1e-12)
+class TestDisplacementExponential:
+    def test_cutoff_two_closed_form(self):
+        # a + a_dag is the Pauli x on two levels, so D = cos(eta) - i sin(eta) x.
+        eta = 0.46
+        c, s = np.cos(eta), np.sin(eta)
+        d = displacement_exponential(SystemConfig(eta=eta, cutoff=2))
+        assert np.allclose(d, [[c, -1j * s], [-1j * s, c]], atol=1e-14)
 
     def test_offset_uses_absolute_index(self):
-        _, lowering = _ladder(12, 24)
-        # <29| a |30>: relative positions 5 and 6
-        assert lowering[5, 6] == pytest.approx(np.sqrt(30.0))
+        # <29| D |30> at relative positions 5 and 6 is -i eta sqrt(30) to
+        # first order in eta; the relative index would give sqrt(6).
+        eta = 1e-6
+        d = displacement_exponential(SystemConfig(eta=eta, cutoff=12, fock_offset=24))
+        assert d[5, 6] == pytest.approx(-1j * eta * np.sqrt(30.0), rel=1e-9)
 
+    def test_cached_read_only_per_config(self):
+        d = displacement_exponential(SystemConfig(eta=0.3, cutoff=5))
+        assert displacement_exponential(SystemConfig(eta=0.3, cutoff=5)) is d
+        with pytest.raises(ValueError):
+            d[0, 0] = 0.0
 
-class TestDisplacementExponential:
     def test_zero_eta_is_identity(self):
         cfg = SystemConfig(eta=0.0, cutoff=5)
         assert np.allclose(displacement_exponential(cfg), np.eye(5), atol=1e-14)

@@ -428,6 +428,28 @@ def test_exact_gradient_at_the_kinks():
     assert all(np.all(part == 0.0) for part in grads)
 
 
+@pytest.mark.parametrize("score", [ensemble_losses, ensemble_gradients])
+def test_ensemble_scorers_check_their_trains(score):
+    energies, vectors = drive_eigenpairs(CFG, 1.0, 0.1)
+    ensemble = OffsetEnsemble((SweepSpec("duration", -20, 20, 3),))
+
+    def run(durations, phases):
+        out = score(energies, vectors, durations, phases, TARGET, ensemble)
+        return [part.tolist() for part in (out if isinstance(out, tuple) else (out,))]
+
+    # a negative duration clamps at 0, as a member's does
+    durations = [[30.0, 60.0, 30.0], [-5.0, 40.0, 10.0]]
+    phases = [[0.0, 0.9, 0.0], [0.0, 0.3, 1.2]]
+    assert run(durations, phases) == run(np.array(durations), np.array(phases))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="durations must be finite"):
+            run([[30.0, bad, 30.0]], [[0.0, 0.9, 0.0]])
+        with pytest.raises(ValueError, match="phases must be finite"):
+            run([[30.0, 60.0, 30.0]], [[0.0, bad, 0.0]])
+    with pytest.raises(ValueError, match=r"must both be \(B, n\)"):
+        run([30.0, 60.0, 30.0], [0.0, 0.9, 0.0])
+
+
 def test_refine_raises_on_a_nonfinite_loss_or_gradient(monkeypatch):
     start = LAYOUT.unpack(_interior_points(LAYOUT, 1, seed=0)[0], TEMPLATE)
     nan_drive = (np.full(6, np.nan), np.eye(6))

@@ -217,6 +217,15 @@ class TestParamLayout:
             with pytest.raises(ValueError, match="duration_bound"):
                 ParamLayout(3, bound)
 
+    @pytest.mark.parametrize("build", [weak_drive_layout, strong_drive_layout])
+    @pytest.mark.parametrize(
+        "eta, omega, message",
+        [(0.0, OMEGA, "eta must be positive"), (ETA, 0.0, "omega must be positive")],
+    )
+    def test_drive_layouts_reject_a_zero_coupling(self, build, eta, omega, message):
+        with pytest.raises(ValueError, match=message):
+            build(3, eta=eta, omega=omega)
+
     def test_slot_order(self):
         layout = strong_drive_layout(3, eta=ETA, omega=1.0)
         cp = CompositePulse(
