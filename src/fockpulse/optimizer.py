@@ -9,16 +9,19 @@ to rounding, and rounding differences can settle a design in another local
 optimum.
 
 Every evaluation goes through the same pure objective, and it runs in
-blocks: it maps a (P, k) block of layout vectors to P losses through the
-batched kernel ``train_product``, so the swarm evaluates its whole
-population per iteration.  The refinement asks the same objective for a
-loss and its exact gradient at once, from ``ensemble_gradients``: one
-forward and one backward pass over the kernel's eigenpairs, as in GRAPE
-(Khaneja et al., J. Magn. Reson. 172, 296 (2005); de Fouquieres et al.,
-J. Magn. Reson. 212, 412 (2011)).  One row is one evaluation, and a row's
-loss does not depend on the block it is evaluated in.  The kernel's
-propagators agree with the reference ``composite_unitary`` only up to
-rounding.
+blocks: it maps a (P, k) block of layout vectors to P losses through
+``ensemble_losses``, one pass of the batched kernel over every train of the
+block, so the swarm evaluates its whole population per iteration.  The
+refinement asks the same objective for a loss and its exact gradient at
+once, from ``ensemble_gradients``: one forward and one backward pass over the
+kernel's eigenpairs, as in GRAPE (Khaneja et al., J. Magn. Reson. 172, 296
+(2005); de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)).  The
+eigenpairs are those of the real frame of the drive,
+``_real_drive_eigenpairs``: the loss reads only moduli, which that frame
+keeps, and its real ``eigh`` and real products are the cheaper ones.  One
+row is one evaluation, and a row's loss does not depend on the block it is
+evaluated in.  The kernel's propagators agree with the reference
+``composite_unitary`` only up to rounding.
 
 The objective is the soft worst case of the modulus loss over the pulses the
 offset grids of an ``OffsetEnsemble`` perturb the candidate into, as
@@ -46,8 +49,8 @@ from .objective import modulus_loss  # noqa: F401  unused, rebound by bench/trac
 from .pulses import (
     CompositePulse,
     ParamLayout,
+    _real_drive_eigenpairs,
     composite_unitary,  # noqa: F401  the reference path, rebound by bench/tracer.py
-    drive_eigenpairs,
 )
 from .robustness import OffsetEnsemble, ensemble_gradients, ensemble_losses
 
@@ -145,12 +148,17 @@ class _TrackedObjective:
             raise ValueError("objective evaluated outside its box bounds")
         result = self.func(block)
         values = result[0] if isinstance(result, tuple) else result
-        for x, value in zip(block, np.asarray(values, dtype=float).tolist()):
-            self.evaluations += 1
-            if value < self.best_f:
-                self.best_f = value
-                self.best_x = x.copy()
-                self.history.append((self.evaluations, value))
+        values = np.asarray(values, dtype=float)
+        # the incumbent each row meets; fmin skips NaN, which never leads
+        met = np.fmin.accumulate(np.concatenate(([self.best_f], values)))[:-1]
+        rows = np.flatnonzero(values < met)
+        self.history.extend(
+            zip((self.evaluations + 1 + rows).tolist(), values[rows].tolist())
+        )
+        if rows.size:
+            self.best_f = self.history[-1][1]
+            self.best_x = block[rows[-1]].copy()
+        self.evaluations += len(values)
         return result
 
 
@@ -254,8 +262,9 @@ def _pulse_objective(
     ``gradient`` set, ``ensemble_gradients`` scores it and the objective
     returns the losses with their (P, k) gradients in the layout's slots.  The
     template's pulses must share one Rabi rate, and one detuning unless the
-    layout frees it.  A fixed detuning is eigendecomposed once, here; a free
-    one once per row, all rows of a block in one batched ``eigh``.
+    layout frees it.  The drive is decomposed in its real frame, by
+    ``_real_drive_eigenpairs``: a fixed detuning once, here; a free one once
+    per row, all rows of a block in one batched ``eigh``.
     """
     ensemble = OffsetEnsemble(()) if ensemble is None else ensemble
     omega = template[0].omega
@@ -264,12 +273,12 @@ def _pulse_objective(
         p.omega != omega or (delta is not None and p.delta != delta) for p in template
     ):
         raise ValueError("the template's pulses do not share one drive")
-    fixed = None if delta is None else drive_eigenpairs(cfg, delta, omega)
+    fixed = None if delta is None else _real_drive_eigenpairs(cfg, delta, omega)
 
     def objective(block: np.ndarray) -> np.ndarray:
         durations, phases, shared = layout.decode(block, template)
         energies, vectors = (
-            fixed if shared is None else drive_eigenpairs(cfg, shared, omega)
+            fixed if shared is None else _real_drive_eigenpairs(cfg, shared, omega)
         )
         args = (energies, vectors, durations, phases, target, ensemble)
         if not gradient:

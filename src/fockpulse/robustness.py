@@ -13,7 +13,11 @@ a train, so every member shares the drive of its pulse, and all members of
 the block run in one pass of ``train_product``'s kernel.
 ``ensemble_gradients`` returns the same losses with their exact gradient,
 from one backward pass over the same eigenpairs.  The design objective of
-``optimizer`` scores through these two.
+``optimizer`` scores through these two.  Both take the eigenpairs in either
+frame: ``drive_eigenpairs``'s, or the real ones of ``_real_drive_eigenpairs``,
+in which a train's propagator is F^dagger U F.  F is diagonal and unitary, so
+the moduli, the losses and every derivative are the same in both frames, up
+to rounding.
 """
 
 from __future__ import annotations
@@ -25,7 +29,13 @@ import numpy as np
 
 from .fockspace import SystemConfig, check_integer, check_real
 from .objective import TargetSpec, excitation_profile, modulus_loss
-from .pulses import CompositePulse, _checked_trains, _train_pass, composite_unitary
+from .pulses import (
+    CompositePulse,
+    _checked_trains,
+    _left,
+    _train_pass,
+    composite_unitary,
+)
 
 __all__ = [
     "SweepSpec",
@@ -371,10 +381,10 @@ def ensemble_gradients(
     # M~_k = y_k (V^dagger Z_k^dagger U_before)^dagger, (B * M, n, dim, dim)
     tilde = np.empty(decay.shape + decay.shape[-1:], dtype=complex)
     undecay, unhinge = decay[..., None].conj(), hinge[..., None].conj()
-    y = adjoint @ (unhinge[:, count - 1] * grad)
+    y = _left(adjoint, unhinge[:, count - 1] * grad)
     for k in range(count - 1, -1, -1):
         if k < count - 1:
-            y = adjoint @ (unhinge[:, k] * (vectors @ (undecay[:, k + 1] * y)))
+            y = _left(adjoint, unhinge[:, k] * _left(vectors, undecay[:, k + 1] * y))
         np.matmul(y, np.swapaxes(entering[k], -1, -2).conj(), out=tilde[:, k])
 
     w = energies[..., None, :]

@@ -10,6 +10,8 @@ from fockpulse.pulses import (
     CompositePulse,
     ParamLayout,
     PulseParams,
+    _real_drive_eigenpairs,
+    _train_pass,
     analytic_swap_parameters,
     composite_unitary,
     drive_eigenpairs,
@@ -273,37 +275,49 @@ class TestTrainUnitaries:
         )
         return composite_unitary(cfg, cp), 1e-12 * max(1.0, horizon) * cfg.dim
 
-    @pytest.mark.parametrize("cutoff", [3, 6, 10])
-    @pytest.mark.parametrize("fock_offset", [0, 7])
-    @pytest.mark.parametrize("strong", [False, True])
-    def test_matches_composite_unitary(self, cutoff, fock_offset, strong):
-        cfg = SystemConfig(cutoff=cutoff, fock_offset=fock_offset)
+    @staticmethod
+    def trains(cfg, strong):
+        """12 random trains of 4 pulses in the weak layout's box, one drive
+        shared by every row, or in the strong one's, one detuning per row:
+        (durations, phases, delta, omega)."""
         omega = 1.0 if strong else OMEGA
         layout = (strong_drive_layout if strong else weak_drive_layout)(
             4, eta=cfg.eta, omega=omega
         )
         lower, upper = layout.slot_bounds()
-        rng = np.random.default_rng(100 * cutoff + fock_offset + strong)
+        rng = np.random.default_rng(100 * cfg.cutoff + cfg.fock_offset + strong)
         rows = lower + (upper - lower) * rng.random((12, layout.dim))
         durations = rows[:, :4]
         durations[:3, 1] = 0.0  # zero-length pulses
         # clamped ensemble members: a common offset driving some pulses below 0
         durations[3:6] = np.maximum(durations[3:6] - 0.5 * upper[0], 0.0)
         phases = np.hstack([np.zeros((12, 1)), rows[:, 4:7]])
-        delta = rows[:, -1] if strong else 1.0
-        energies, vectors = drive_eigenpairs(cfg, delta, omega)
-        u = train_product(energies, vectors, durations, phases)
+        return durations, phases, rows[:, -1] if strong else 1.0, omega
+
+    @classmethod
+    def check(cls, cfg, u, trains):
+        """Each of the (12, dim, dim) propagators ``u`` against the reference
+        of its train."""
+        durations, phases, delta, omega = trains
         assert u.shape == (12, cfg.dim, cfg.dim)
-        for b in range(12):
-            d = delta[b] if strong else delta
+        for b, d in enumerate(np.broadcast_to(delta, 12).tolist()):
             cp = CompositePulse(
                 tuple(
                     PulseParams(delta=d, omega=omega, phi=f, t=t)
                     for t, f in zip(durations[b], phases[b])
                 )
             )
-            ref, bar = self.reference(cfg, cp)
+            ref, bar = cls.reference(cfg, cp)
             assert np.abs(u[b] - ref).max() <= bar
+
+    @pytest.mark.parametrize("cutoff", [3, 6, 10])
+    @pytest.mark.parametrize("fock_offset", [0, 7])
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_matches_composite_unitary(self, cutoff, fock_offset, strong):
+        cfg = SystemConfig(cutoff=cutoff, fock_offset=fock_offset)
+        durations, phases, delta, omega = trains = self.trains(cfg, strong)
+        drive = drive_eigenpairs(cfg, delta, omega)
+        self.check(cfg, train_product(*drive, durations, phases), trains)
 
     def test_rows_do_not_depend_on_their_batch(self):
         cfg = SystemConfig(cutoff=3)
@@ -350,6 +364,60 @@ class TestTrainUnitaries:
         for phi in (np.nan, -np.inf):
             with pytest.raises(ValueError, match="phases must be finite"):
                 train_product(w, v, [[5.0, 1.0]], [[0.0, phi]])
+
+
+def _frame(cutoff):
+    """Diagonal of the real frame's F: i^k on mode level k of both blocks."""
+    return np.tile(np.array([1, 1j, -1, -1j])[np.arange(cutoff) % 4], 2)
+
+
+class TestRealFrame:
+    """``_real_drive_eigenpairs`` decomposes F^dagger H F, which is real, and
+    the kernel run on its eigenpairs gives F^dagger U F."""
+
+    @pytest.mark.parametrize("cutoff", [3, 6, 10])
+    @pytest.mark.parametrize("fock_offset", [0, 7])
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_hamiltonian_is_real_in_the_frame(self, cutoff, fock_offset, strong):
+        cfg = SystemConfig(cutoff=cutoff, fock_offset=fock_offset)
+        delta, omega = (np.array([0.25, 1.0, 2.5]), 1.0) if strong else (1.0, OMEGA)
+        h = build_hamiltonian(cfg, delta=delta, omega=omega, phi=0.0)
+        f = _frame(cutoff)
+        assert np.abs((f.conj()[:, None] * h * f).imag).max() <= 1e-15 * np.abs(h).max()
+        energies, vectors = _real_drive_eigenpairs(cfg, delta, omega)
+        assert energies.shape == h.shape[:-1] and vectors.shape == h.shape
+        assert np.isrealobj(vectors)
+
+    @pytest.mark.parametrize("cutoff", [3, 6, 10])
+    @pytest.mark.parametrize("fock_offset", [0, 7])
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_product_matches_composite_unitary(self, cutoff, fock_offset, strong):
+        cfg = SystemConfig(cutoff=cutoff, fock_offset=fock_offset)
+        durations, phases, delta, omega = trains = TestTrainUnitaries.trains(
+            cfg, strong
+        )
+        drive = _real_drive_eigenpairs(cfg, delta, omega)
+        framed = _train_pass(*drive, durations, phases)[0]
+        f = _frame(cutoff)
+        TestTrainUnitaries.check(cfg, f[:, None] * framed * f.conj(), trains)
+
+    @pytest.mark.parametrize("cutoff, fock_offset", [(3, 0), (10, 7)])
+    def test_rows_do_not_depend_on_their_batch(self, cutoff, fock_offset):
+        cfg = SystemConfig(cutoff=cutoff, fock_offset=fock_offset)
+        rng = np.random.default_rng(5)
+        durations = rng.uniform(0.0, 1500.0, (64, 3))
+        phases = rng.uniform(0.0, 2 * np.pi, (64, 3))
+        deltas = rng.uniform(0.25, 2.5, 64)
+        weak = _real_drive_eigenpairs(cfg, 1.0, OMEGA)
+        per_row = _real_drive_eigenpairs(cfg, deltas, 1.0)
+        shared_u = _train_pass(*weak, durations, phases)[0]
+        per_row_u = _train_pass(*per_row, durations, phases)[0]
+        for b in (0, 17, 63):
+            one = durations[b : b + 1], phases[b : b + 1]
+            assert np.array_equal(_train_pass(*weak, *one)[0][0], shared_u[b])
+            strong = _real_drive_eigenpairs(cfg, deltas[b], 1.0)
+            assert all(map(np.array_equal, strong, (p[b] for p in per_row)))
+            assert np.array_equal(_train_pass(*strong, *one)[0][0], per_row_u[b])
 
 
 class TestStateBlocks:
