@@ -30,6 +30,11 @@ offset grids of an ``OffsetEnsemble`` perturb the candidate into, as
 bit for bit.  The swarm treats a non-finite loss as +inf, so such a
 candidate never becomes its incumbent.
 
+The refinement is scipy's L-BFGS-B, and ``refine`` imports
+``scipy.optimize`` on its first call, so that importing the package loads
+numpy and the standard library alone: readout, sweeps and ``evaluate`` never
+load scipy.
+
 Progress goes to the ``fockpulse.optimizer`` logger at INFO level: the swarm's
 best loss every ``_LOG_EVERY`` iterations, and each refinement's result.
 """
@@ -41,7 +46,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fockspace import SystemConfig, check_integer, check_real
 from .objective import TargetSpec
@@ -330,6 +334,12 @@ def refine(
     raises ``FloatingPointError``.  The incumbent is tracked across every
     evaluation, so the result is never worse than the starting point.
     """
+    # Imported here, not at the top: scipy.optimize (scipy.linalg with it) is
+    # about four fifths of ``import fockpulse`` without this (0.41-0.51 s of
+    # 0.50-0.63 s by python -X importtime on a 2-vCPU VM), and readout,
+    # sweeps and evaluate never refine.
+    from scipy.optimize import minimize
+
     x0 = layout.pack(start)
     lower, upper = layout.slot_bounds()
     if not layout.contains(x0):

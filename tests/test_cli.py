@@ -3,7 +3,10 @@
 import argparse
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -738,3 +741,67 @@ def test_readme_config_with_a_misspelled_key_exits_two(tmp_path, monkeypatch, do
     code = main(["--quiet", "thermometry", "--config", str(cfg_path), "--out", str(out)])
     assert code == 2
     assert designed == []
+
+
+# Run in a fresh interpreter: prints the scipy modules loaded after each stage.
+_SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import fockpulse, fockpulse.cli
+seen = {"import": scipy_modules()}
+out, pulse_id, config = sys.argv[1:]
+for argv in (
+    ["evaluate", "--pulse-id", pulse_id, "--out", out],
+    ["robustness", "--pulse-id", pulse_id, "--axis", "phase", "--points", "5",
+     "--out", out],
+    ["thermometry", "--config", config, "--out", out],
+):
+    assert fockpulse.cli.main(["--quiet", *argv]) == 0, argv
+    seen[argv[0]] = scipy_modules()
+cfg = fockpulse.SystemConfig(cutoff=3)
+fockpulse.refine(
+    cfg,
+    fockpulse.uniform_pulse_train(3, delta=1.0, omega=0.1),
+    fockpulse.weak_drive_layout(3, eta=cfg.eta, omega=0.1),
+    fockpulse.swap_target(3, 0),
+    fockpulse.RefineConfig(max_iters=2),
+)
+seen["refine"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_only_refine_loads_scipy(tmp_path):
+    # Importing the package, evaluating, sweeping and reading out with stored
+    # pulses never optimize, so none of them may pay for importing scipy.
+    out = tmp_path / "runs"
+    first = _store_pulse(out, 0, target="shelve(0)")
+    second = _store_pulse(out, 1, target="shelve(1)")
+    cfg_path = tmp_path / "run.json"
+    _write_config(
+        cfg_path,
+        thermometry={
+            "window": [0, 1],
+            "truth_cutoff": 15,
+            "distribution": {"thermal_nbar": 0.5},
+            "pulse_ids": [first.id, second.id],
+        },
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(out), first.id, str(cfg_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=tmp_path,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    for stage in ("import", "evaluate", "robustness", "thermometry"):
+        assert seen[stage] == [], stage
+    assert "scipy.optimize" in seen["refine"]

@@ -382,13 +382,20 @@ def test_exact_gradient_matches_central_differences(case):
         # a first pulse shorter than 300 is clamped at zero in some members
         points[:, 0] *= 0.2
         assert np.all(points[:, 0] < 300.0)
+    # The oracle is the Richardson extrapolation (4 g(h/2) - g(h)) / 3 of two
+    # central differences g at h = 4e-6, which cancels their h^2 truncation
+    # error.  Over 80 random points of each objective (seeds 0-19) it errs by
+    # at most 4.1e-7 of the gradient's scale, and the bar, 2e-6 of that scale,
+    # holds at all 400.  A plain central difference at step 1e-6 misses it at
+    # 6 (worst 2.5e-5, in the robust cases); the extrapolation at h = 1e-6
+    # (rounding) or 1e-5 (truncation) misses it once.
+    h = 4e-6
     for x in points:
         _, (grad,) = exact(x[None])
-        oracle = finite_difference_gradient(value, x, 1e-6)
-        # The bar, 2e-6 of the gradient's scale, is four times the oracle's
-        # own error: at step 1e-6 the central difference errs by up to 5e-7
-        # of that scale over 80 random points of each objective (rounding
-        # dominates in the weak ones, truncation in the strong one).
+        oracle = (
+            4 * finite_difference_gradient(value, x, h / 2)
+            - finite_difference_gradient(value, x, h)
+        ) / 3
         assert np.max(np.abs(grad - oracle)) <= 2e-6 * np.max(np.abs(oracle))
 
 
