@@ -13,9 +13,10 @@ blocks: it maps a (P, k) block of layout vectors to P losses through
 ``ensemble_losses``, one pass of the batched kernel over every train of the
 block, so the swarm evaluates its whole population per iteration.  The
 refinement asks the same objective for a loss and its exact gradient at
-once, from ``ensemble_gradients``: one forward and one backward pass over the
-kernel's eigenpairs, as in GRAPE (Khaneja et al., J. Magn. Reson. 172, 296
-(2005); de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)).  The
+once, from ``ensemble_gradients``: the kernel runs forward over the
+eigenpairs, and back from the loss's derivative by each propagator
+(``pulses._train_vjp``), as in GRAPE (Khaneja et al., J. Magn. Reson. 172,
+296 (2005); de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)).  The
 eigenpairs are those of the real frame of the drive,
 ``_real_drive_eigenpairs``: the loss reads only moduli, which that frame
 keeps, and its real ``eigh`` and real products are the cheaper ones.  One

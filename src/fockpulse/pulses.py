@@ -15,8 +15,10 @@ exp(-i H t) = Z V e^{-i w t} V^dagger Z^dagger, factor by factor to B trains
 at once.  It is the one propagation kernel: given a block of states it
 returns what each train makes of them, which is all the readout and the
 robustness grids need, and otherwise the whole propagators that pulse design
-scores.  Each row of a batch is computed independently of the others, so a
-row's result does not depend on the batch it sits in.
+scores; ``_train_vjp`` runs it back, from the derivative of a loss by each
+train's propagator to those by every duration, phase and detuning.  Each row
+of a batch is computed independently of the others, so a row's result does
+not depend on the batch it sits in.
 
 A second diagonal similarity makes the drive real: with F = diag(i^k, i^k)
 over the mode levels k of both blocks, F^dagger H(delta, omega, 0) F is real
@@ -178,13 +180,10 @@ def _real_drive_eigenpairs(
     (w, R) gives F^dagger U F, whose entries have the moduli of U's: the
     design objective scores it unchanged, with real ``eigh`` and real GEMMs.
 
-    The readout keeps the lab frame of ``drive_eigenpairs``.  On this frame
-    its ops get shorter: a weak-set ``readout-c100`` op falls from about
-    40 ms to about 25 ms on a 2-vCPU x86-64 VM.  The benchmark's traced run
-    then reads ``correct: false`` now and then, because the tracer's own
-    install and restore time, about 180 us, fills the 1% of a traced op that
-    may go unattributed to any span.  Moving the readout waits until the
-    benchmark times its traced op as it times the untraced one.
+    The readout keeps the lab frame: on this one a weak-set ``readout-c100``
+    op falls from about 40 to 25 ms (2-vCPU x86-64 VM), and the tracer's own
+    180 us then fills the 1% of a traced benchmark op that may go unattributed
+    to any span, so its traced runs fail now and then (ROADMAP, Open item 1).
     """
     frame = np.tile(np.array([1, 1j, -1, -1j])[np.arange(cfg.cutoff) % 4], 2)
     h = build_hamiltonian(cfg, delta=delta, omega=omega, phi=0.0)
@@ -225,11 +224,10 @@ def train_product(
 
 
 def _checked_trains(
-    durations: np.ndarray, phases: np.ndarray, nonnegative: bool = True
+    durations: np.ndarray, phases: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``durations`` and ``phases`` as (B, n) float arrays with n >= 1, all
-    finite and, when ``nonnegative`` is set, every duration >= 0; otherwise
-    ValueError."""
+    finite and every duration >= 0; otherwise ValueError."""
     durations = np.asarray(durations, dtype=float)
     phases = np.asarray(phases, dtype=float)
     if durations.ndim != 2 or durations.shape != phases.shape or not durations.shape[1]:
@@ -237,13 +235,9 @@ def _checked_trains(
             f"durations {durations.shape} and phases {phases.shape} must both be "
             "(B, n) with n >= 1"
         )
-    ok = np.isfinite(durations)
-    if nonnegative:
-        ok &= durations >= 0
-    bad = durations[~ok]
+    bad = durations[~(np.isfinite(durations) & (durations >= 0))]
     if bad.size:
-        bound = " and >= 0" if nonnegative else ""
-        raise ValueError(f"durations must be finite{bound}, got {bad[0]}")
+        raise ValueError(f"durations must be finite and >= 0, got {bad[0]}")
     bad = phases[~np.isfinite(phases)]
     if bad.size:
         raise ValueError(f"phases must be finite, got {bad[0]}")
@@ -274,8 +268,8 @@ def _train_pass(
     scale the rows between pulse k and pulse k + 1, Z_k Z_{k+1}^dagger, or
     Z_k alone after the last pulse.  When ``entering`` is a list, the block
     entering each pulse k is appended to it in that pulse's frame,
-    V^dagger Z_k^dagger times what pulses 0..k-1 made; the exact gradient in
-    ``robustness`` runs back over them.
+    V^dagger Z_k^dagger times what pulses 0..k-1 made; ``_train_vjp`` runs
+    back over them.
     """
     dim = vectors.shape[-1]
     adjoint = np.conj(np.swapaxes(vectors, -1, -2))
@@ -299,6 +293,62 @@ def _train_pass(
         if k < last:
             block = _left(adjoint, block)
     return block, decay, hinge
+
+
+def _train_vjp(
+    energies: np.ndarray,
+    vectors: np.ndarray,
+    durations: np.ndarray,
+    cotangent: np.ndarray,
+    decay: np.ndarray,
+    hinge: np.ndarray,
+    entering: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's backward pass: derivatives of a real loss L by the (B, n)
+    durations, the (B, n) phases and the (B,) detunings of B trains' drives,
+    from ``cotangent``, the (B, dim, dim) derivative G of L by each train's
+    propagator U (dL = Re sum conj(G) dU), and what ``_train_pass`` took and
+    returned on the same trains, ``entering`` as it filled it.
+
+    The cotangent of G in pulse k's frame,
+    M~_k = V^dagger Z_k^dagger (U_after^dagger G U_before^dagger) Z_k V, gives
+    every slot of that pulse, with P_e the projector onto the excited block,
+    E = V^dagger P_e V and e_a = e^{-i w_a t_k}:
+    d/dt_k = Re sum_a conj(M~_aa) (-i w_a) e_a; d/dphi_k =
+    Re sum_ab conj(M~_ab) i E_ab (e_b - e_a), from dP/dphi = i [P_e, P]; and
+    d/ddelta, from dH/ddelta = -P_e, sums -Re conj(M~_ab) Gamma_ab E_ab over
+    the pulses, where Gamma_ab = (e_a - e_b) / (w_a - w_b) is the
+    Daleckii-Krein divided difference, evaluated as
+    -i t e^{-i (w_a + w_b) t / 2} sinc((w_a - w_b) t / 2) so that it tends
+    to -i t e_a as w_b tends to w_a.
+    """
+    adjoint = np.conj(np.swapaxes(vectors, -1, -2))
+    c = vectors.shape[-1] // 2
+    excited = adjoint[..., c:] @ vectors[..., c:, :]  # E = V^dagger P_e V
+    # back through the train: y_k = V^dagger Z_k^dagger U_after^dagger G, and
+    # M~_k = y_k (V^dagger Z_k^dagger U_before)^dagger, (B, n, dim, dim)
+    tilde = np.empty(decay.shape + decay.shape[-1:], dtype=complex)
+    undecay, unhinge = decay[..., None].conj(), hinge[..., None].conj()
+    y = _left(adjoint, unhinge[:, -1] * cotangent)
+    for k in reversed(range(len(entering))):
+        np.matmul(y, np.swapaxes(entering[k], -1, -2).conj(), out=tilde[:, k])
+        if k:
+            y = _left(adjoint, unhinge[:, k - 1] * _left(vectors, undecay[:, k] * y))
+
+    w = energies[..., None, :]
+    diagonal = np.diagonal(tilde, axis1=-2, axis2=-1)
+    d_t = np.real(np.sum(diagonal.conj() * (-1j * w * decay), axis=-1))
+    gap = (energies[..., :, None] - energies[..., None, :])[..., None, :, :]
+    t = durations[..., None]
+    half = np.exp(-0.5j * w * t)
+    x = gap * (0.5 * t[..., None])
+    sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    gamma = half[..., :, None] * half[..., None, :] * (-1j * t[..., None] * sinc)
+    # i (e_b - e_a) = -i (w_a - w_b) Gamma_ab, so one product serves phi and delta
+    terms = tilde.conj() * excited[..., None, :, :] * gamma
+    d_phi = np.sum(gap * terms, axis=(-2, -1)).imag
+    d_delta = -np.sum(terms.real, axis=(-3, -2, -1))
+    return d_t, d_phi, d_delta
 
 
 def analytic_swap_parameters(eta: float, omega: float) -> CompositePulse:

@@ -7,17 +7,11 @@ touch later pulses.
 
 The same offset grids can also be designed against: ``ensemble_losses``
 scores each of a block of trains by a soft worst case of the modulus loss
-over every pulse that the grids of an ``OffsetEnsemble`` perturb it into.  A
-duration offset only changes the times and a phase offset only the phases of
-a train, so every member shares the drive of its pulse, and all members of
-the block run in one pass of ``train_product``'s kernel.
-``ensemble_gradients`` returns the same losses with their exact gradient,
-from one backward pass over the same eigenpairs.  The design objective of
-``optimizer`` scores through these two.  Both take the eigenpairs in either
-frame: ``drive_eigenpairs``'s, or the real ones of ``_real_drive_eigenpairs``,
-in which a train's propagator is F^dagger U F.  F is diagonal and unitary, so
-the moduli, the losses and every derivative are the same in both frames, up
-to rounding.
+over every pulse that the grids of an ``OffsetEnsemble`` perturb it into, and
+``ensemble_gradients`` adds its exact gradient.  A duration offset only
+changes the times and a phase offset only the phases of a train, so every
+member shares the drive of its pulse, and all members of the block run in one
+pass of the kernel of ``pulses``: forward, and back for the gradient.
 """
 
 from __future__ import annotations
@@ -32,8 +26,8 @@ from .objective import TargetSpec, excitation_profile, modulus_loss
 from .pulses import (
     CompositePulse,
     _checked_trains,
-    _left,
     _train_pass,
+    _train_vjp,
     composite_unitary,
 )
 
@@ -86,7 +80,7 @@ class TransitionProbe:
     """What to read off the perturbed propagator.
 
     ``transfer`` records |<e, fock+1| U |g, fock>|^2, the sideband transition
-    probability; ``excitation`` records the total excited population out of
+    probability; ``excitation`` records the total population in |e> out of
     |g, fock>, which is the right metric for masked (shelving) targets.
     """
 
@@ -269,14 +263,12 @@ def _member_trains(
     them: the (M,) weights, the eigenpairs each member runs on (repeated over
     the members when each row has its own drive), the (B * M, n) durations
     clamped at 0, the (B * M, n) phases, and the mask of the durations that
-    were not clamped.  ``durations`` and ``phases`` must be finite (B, n)
-    arrays; a negative duration clamps at 0, as a member's does."""
-    durations, phases = _checked_trains(durations, phases, nonnegative=False)
-    rows, count = durations.shape
-    weights, dt, dphi = ensemble.offsets(count)
+    were not clamped."""
+    durations, phases = _checked_trains(durations, phases)
+    weights, dt, dphi = ensemble.offsets(durations.shape[1])
     size = weights.size
-    t = (durations[:, None, :] + dt).reshape(rows * size, count)
-    phi = (phases[:, None, :] + dphi).reshape(rows * size, count)
+    t = (durations[:, None, :] + dt).reshape(-1, dt.shape[1])
+    phi = (phases[:, None, :] + dphi).reshape(-1, dt.shape[1])
     if energies.ndim == 2 and size > 1:  # every member shares its drive
         energies = np.repeat(energies, size, axis=0)
         vectors = np.repeat(vectors, size, axis=0)
@@ -338,70 +330,27 @@ def ensemble_gradients(
     ``ensemble_losses`` bit for bit, and their derivatives by the (B, n)
     durations, the (B, n) phases and the (B,) detunings of the trains' drives.
 
-    The pass runs each member's train forward, keeping the block entering
-    every pulse k, and then back from the loss's derivative by the
-    propagator, G = mask (|U| - T) U / (|U| L), which is set to 0 where
-    |U| = 0 (a kink of the loss) or L = 0.  Its cotangent in pulse k's frame,
-    M~_k = V^dagger Z_k^dagger (U_after^dagger G U_before^dagger) Z_k V, gives
-    every slot of that pulse, with P_e the projector onto the excited block,
-    E = V^dagger P_e V and e_a = e^{-i w_a t_k}:
-    d/dt_k = Re sum_a conj(M~_aa) (-i w_a) e_a; d/dphi_k =
-    Re sum_ab conj(M~_ab) i E_ab (e_b - e_a), from dP/dphi = i [P_e, P]; and
-    d/ddelta, from dH/ddelta = -P_e, sums -Re conj(M~_ab) Gamma_ab E_ab over
-    the pulses, where Gamma_ab = (e_a - e_b) / (w_a - w_b) is the
-    Daleckii-Krein divided difference, evaluated as
-    -i t e^{-i (w_a + w_b) t / 2} sinc((w_a - w_b) t / 2) so that it tends
-    to -i t e_a as w_b tends to w_a.  Members chain through their softmax
-    share of the log-sum-exp times their spec's weight, and a member whose
-    duration is clamped at 0 adds nothing to that pulse's d/dt.
+    The members run forward through ``_train_pass`` and back through
+    ``_train_vjp`` from the loss's derivative by each member's propagator,
+    G = mask (|U| - T) U / (|U| L), which is set to 0 where |U| = 0 (a kink of
+    the loss) or L = 0.  Members chain through their softmax share of the
+    log-sum-exp times their spec's weight, and a member whose duration is
+    clamped at 0 adds nothing to that pulse's d/dt.
     """
     weights, energies, vectors, t, phi, live = _member_trains(
         energies, vectors, durations, phases, ensemble
     )
-    size = weights.size
-    rows, count = t.shape[0] // size, t.shape[1]
-    adjoint = np.conj(np.swapaxes(vectors, -1, -2))
-    c = vectors.shape[-1] // 2
-    excited = adjoint[..., c:] @ vectors[..., c:, :]  # E = V^dagger P_e V
     entering: list[np.ndarray] = []
     u, decay, hinge = _train_pass(energies, vectors, t, phi, entering=entering)
     member = modulus_loss(u, target)
-    losses, shares = _soft_worst(weights * member.reshape(rows, size))
+    losses, shares = _soft_worst(weights * member.reshape(-1, weights.size))
 
     magnitude = np.abs(u)
     scale = magnitude * member[:, None, None]
-    grad = np.divide(
-        (magnitude - target.modulus) * target.mask * u,
-        scale,
-        out=np.zeros_like(u),
-        where=scale > 0,
-    )
+    diff = (magnitude - target.modulus) * target.mask * u
+    grad = np.divide(diff, scale, out=np.zeros_like(u), where=scale > 0)
     grad *= (shares * weights).reshape(-1, 1, 1)
-    # back through the train: y_k = V^dagger Z_k^dagger U_after^dagger G, and
-    # M~_k = y_k (V^dagger Z_k^dagger U_before)^dagger, (B * M, n, dim, dim)
-    tilde = np.empty(decay.shape + decay.shape[-1:], dtype=complex)
-    undecay, unhinge = decay[..., None].conj(), hinge[..., None].conj()
-    y = _left(adjoint, unhinge[:, count - 1] * grad)
-    for k in range(count - 1, -1, -1):
-        if k < count - 1:
-            y = _left(adjoint, unhinge[:, k] * _left(vectors, undecay[:, k + 1] * y))
-        np.matmul(y, np.swapaxes(entering[k], -1, -2).conj(), out=tilde[:, k])
-
-    w = energies[..., None, :]
-    diagonal = np.diagonal(tilde, axis1=-2, axis2=-1)
-    d_t = np.real(np.sum(diagonal.conj() * (-1j * w * decay), axis=-1)) * live
-    gap = (energies[..., :, None] - energies[..., None, :])[..., None, :, :]
-    half = np.exp(-0.5j * w * t[..., None])
-    x = gap * (0.5 * t[..., None, None])
-    sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-    gamma = half[..., :, None] * half[..., None, :] * (-1j * t[..., None, None] * sinc)
-    # i (e_b - e_a) = -i (w_a - w_b) Gamma_ab, so one product serves phi and delta
-    terms = tilde.conj() * excited[..., None, :, :] * gamma
-    d_phi = np.sum(gap * terms, axis=(-2, -1)).imag
-    d_delta = -np.sum(terms.real, axis=(-3, -2, -1))
-    return (
-        losses,
-        d_t.reshape(rows, size, count).sum(axis=1),
-        d_phi.reshape(rows, size, count).sum(axis=1),
-        d_delta.reshape(rows, size).sum(axis=1),
-    )
+    d_t, d_phi, d_delta = _train_vjp(energies, vectors, t, grad, decay, hinge, entering)
+    parts = (d_t * live, d_phi, d_delta)
+    sums = (d.reshape((-1, weights.size) + d.shape[1:]).sum(axis=1) for d in parts)
+    return losses, *sums

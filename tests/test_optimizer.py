@@ -14,7 +14,6 @@ from fockpulse import (
     SweepSpec,
     SystemConfig,
     TargetSpec,
-    build_hamiltonian,
     composite_unitary,
     design_pulse,
     drive_eigenpairs,
@@ -40,6 +39,7 @@ from fockpulse.optimizer import (
 )
 from fockpulse.pulses import _real_drive_eigenpairs, _train_pass
 from fockpulse.robustness import _SHARPNESS
+from test_pulses import kernel_bar
 
 CFG = SystemConfig(cutoff=3)
 TARGET = swap_target(3, 0)
@@ -157,20 +157,6 @@ def test_pso_search_is_seed_deterministic():
     assert other.loss != a.loss
 
 
-def _kernel_bar(cfg, cp):
-    """The kernel's agreement bar with ``composite_unitary``: 1e-12 per unit
-    of duration x spectral radius (largest absolute row sum of H), per
-    matrix dimension."""
-    horizon = sum(
-        p.t
-        * np.abs(build_hamiltonian(cfg, delta=p.delta, omega=p.omega, phi=p.phi))
-        .sum(axis=1)
-        .max()
-        for p in cp
-    )
-    return 1e-12 * max(1.0, horizon) * cfg.dim
-
-
 def test_robust_objective_pins_the_ensemble_aggregate():
     x = np.array([264.46, 528.91, 264.46, 0.95, 0.0])
     nominal = _pulse_objective(CFG, TEMPLATE, LAYOUT, TARGET)
@@ -186,7 +172,7 @@ def test_robust_objective_pins_the_ensemble_aggregate():
         train_product(*drive_eigenpairs(CFG, 1.0, 0.1), durations, phases), TARGET
     )
     reference = modulus_loss(composite_unitary(CFG, cp), TARGET)
-    bar = _kernel_bar(CFG, cp)
+    bar = kernel_bar(CFG, cp)
     assert abs(lab[0] - pinned[0]) <= bar and abs(reference - pinned[0]) <= bar
 
     # the -300 offset drives every duration below zero, so it is clamped
@@ -219,7 +205,7 @@ def test_robust_objective_pins_the_ensemble_aggregate():
     # each of them agrees with the reference's within the kernel's bar
     for (weight, member), loss in zip(members, losses):
         reference = weight * modulus_loss(composite_unitary(CFG, member), TARGET)
-        assert abs(reference - loss) <= weight * _kernel_bar(CFG, member)
+        assert abs(reference - loss) <= weight * kernel_bar(CFG, member)
 
 
 @pytest.mark.parametrize("strong", [False, True])
@@ -462,12 +448,15 @@ def test_ensemble_scorers_check_their_trains(score):
         out = score(energies, vectors, durations, phases, TARGET, ensemble)
         return [part.tolist() for part in (out if isinstance(out, tuple) else (out,))]
 
-    # a negative duration clamps at 0, as a member's does
-    durations = [[30.0, 60.0, 30.0], [-5.0, 40.0, 10.0]]
+    durations = [[30.0, 60.0, 30.0], [5.0, 40.0, 10.0]]
     phases = [[0.0, 0.9, 0.0], [0.0, 0.3, 1.2]]
     assert run(durations, phases) == run(np.array(durations), np.array(phases))
+    # the kernel's one rule: an input duration is finite and >= 0; members
+    # whose offsets drive a duration below 0 clamp at 0 (the -20 above)
+    with pytest.raises(ValueError, match="durations must be finite and >= 0"):
+        run([[30.0, -5.0, 30.0]], [[0.0, 0.9, 0.0]])
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="durations must be finite"):
+        with pytest.raises(ValueError, match="durations must be finite and >= 0"):
             run([[30.0, bad, 30.0]], [[0.0, 0.9, 0.0]])
         with pytest.raises(ValueError, match="phases must be finite"):
             run([[30.0, 60.0, 30.0]], [[0.0, bad, 0.0]])

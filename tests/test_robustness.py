@@ -128,6 +128,11 @@ def test_perturb_phase_skips_reference_pulse():
         perturb(TRAIN, "phase", 0.4, which=0)
 
 
+def test_perturb_rejects_an_unknown_axis():
+    with pytest.raises(ValueError, match="axis must be 'duration' or 'phase'"):
+        perturb(TRAIN, "rabi", 0.1)
+
+
 def test_probe_validation_and_indexing():
     with pytest.raises(ValueError, match="fock"):
         TransitionProbe(fock=-1)

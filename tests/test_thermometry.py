@@ -11,7 +11,6 @@ from fockpulse import (
     PulseParams,
     RefineConfig,
     SystemConfig,
-    build_hamiltonian,
     coefficient_matrix,
     composite_unitary,
     correct_populations,
@@ -23,6 +22,7 @@ from fockpulse import (
     uniform_pulse_train,
     weak_drive_layout,
 )
+from test_pulses import kernel_bar
 
 
 def test_distribution_validates_and_renormalizes():
@@ -152,16 +152,8 @@ def test_simulate_measurements_matches_reference_profiles(fock_offset):
     measured = simulate_measurements(cfg, MIXED_TRAINS, dist)
     assert measured.shape == (len(MIXED_TRAINS),)
     for m, cp in zip(measured, MIXED_TRAINS):
-        # 1e-12 per unit of duration x spectral radius, per matrix dimension
-        horizon = sum(
-            p.t
-            * np.abs(build_hamiltonian(cfg, delta=p.delta, omega=p.omega, phi=p.phi))
-            .sum(axis=1)
-            .max()
-            for p in cp
-        )
         expected = excitation_profile(composite_unitary(cfg, cp)) @ dist.populations
-        assert abs(m - expected) <= 1e-12 * max(1.0, horizon) * cfg.dim
+        assert abs(m - expected) <= kernel_bar(cfg, cp)
 
 
 def _count_eigh(monkeypatch) -> list[int]:

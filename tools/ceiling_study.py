@@ -54,9 +54,7 @@ from fockpulse import (
     SweepSpec,
     SystemConfig,
     TransitionProbe,
-    composite_unitary,
     drive_eigenpairs,
-    perturb,
     sweep,
     train_product,
     uniform_pulse_train,
@@ -68,6 +66,10 @@ PHASE_BAR = 0.99
 CFG = SystemConfig(cutoff=3)
 PHASE_WINDOW = SweepSpec(axis="phase", lower=-math.pi / 4, upper=math.pi / 4, points=257)
 DURATION_WINDOW = SweepSpec(axis="duration", lower=-62.8, upper=62.8, points=257)
+# whole trap periods: offsets 2*pi*k, |k| <= 10
+WHOLE_PERIODS = SweepSpec(
+    axis="duration", lower=-20 * math.pi, upper=20 * math.pi, points=21
+)
 PROBE = TransitionProbe(fock=0, mode="transfer")
 GROUND = np.eye(CFG.dim, 1)  # the input column |g,0>
 
@@ -138,16 +140,11 @@ def checked_floors(grid: GridFloors, x: np.ndarray) -> dict[str, float]:
     fast_phase, fast_duration = grid.floors(x)
     if abs(phase - fast_phase) > 1e-9 or abs(duration - fast_duration) > 1e-9:
         raise AssertionError("batched propagator disagrees with composite_unitary")
-    periods = [
-        PROBE.evaluate(
-            CFG, composite_unitary(CFG, perturb(cp, "duration", 2 * math.pi * k)[0])
-        )
-        for k in range(-10, 11)
-    ]
+    periods = sweep(CFG, cp, WHOLE_PERIODS, PROBE).probabilities.min()
     return {
         "phase_floor": float(phase),
         "duration_floor": float(duration),
-        "duration_floor_whole_periods": float(min(periods)),
+        "duration_floor_whole_periods": float(periods),
         "pulses": cp.to_dicts(),
     }
 
