@@ -23,7 +23,8 @@ import logging
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -36,7 +37,7 @@ from .fockspace import (
     check_real,
     read_record,
 )
-from .library import PulseLibraryEntry, find_entry, load_entry, save_entry
+from .library import PulseLibraryEntry, _check_key, find_entry, load_entry, save_entry
 from .objective import TargetSpec, excitation_profile, shelving_target, swap_target
 from .optimizer import (
     OptimizationResult,
@@ -68,14 +69,6 @@ log = logging.getLogger("fockpulse")
 
 _CONFIG_VERSION = 1
 _TARGET_RE = re.compile(r"^(swap|shelve)\((\d+)\)$")
-
-# The keys each level of a config may hold; any other key is bad input (the
-# system, pso and refine blocks hold the fields of their records).
-_CONFIG_KEYS = (
-    "version", "regime", "system", "pulse_count", "target", "pso", "refine",
-    "starts", "refine_top", "loss_threshold", "thermometry",
-)
-_THERMOMETRY_KEYS = ("window", "truth_cutoff", "distribution", "pulse_ids")
 _DISTRIBUTION_KEYS = ("thermal_nbar", "populations", "first_fock")
 
 # One dimensionless duration unit is 1/(2*pi) microseconds for a 1 MHz mode.
@@ -85,9 +78,10 @@ MICROSECONDS_PER_UNIT = 1.0 / (2.0 * math.pi)
 def parse_target(preset: str, cutoff: int) -> TargetSpec:
     """Build a TargetSpec from a preset string like 'swap(0)' or 'shelve(2)'.
 
-    The integer is the Fock state relative to the retained window.
+    The integer is the Fock state relative to the retained window; anything
+    but such a string is an unknown preset.
     """
-    m = _TARGET_RE.match(preset.strip())
+    m = isinstance(preset, str) and _TARGET_RE.match(preset.strip())
     if not m:
         raise ValueError(
             f"unknown target preset {preset!r}; expected 'swap(n)' or 'shelve(n)'"
@@ -100,67 +94,57 @@ def parse_target(preset: str, cutoff: int) -> TargetSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description: the records the commands run, built once.
+    """A run config, checked whole: its fields are the document's keys, each
+    with its default, so ``read_record(RunConfig, "config", doc)`` reads one.
 
-    ``preset`` is the target's label, as written in the config and stored in
-    the library entry; ``target`` is the TargetSpec it names.
+    The ``system``, ``pso``, ``refine`` and ``thermometry`` blocks are given
+    as JSON objects and hold their records once built.  ``target`` is the
+    preset label, as written in the config and stored in the library entry;
+    ``target_spec`` is the TargetSpec it names, and ``template`` and
+    ``layout`` are the regime's uniform pulse train and parameter layout.
     """
 
-    system: SystemConfig
-    regime: str
-    preset: str
-    target: TargetSpec
-    template: CompositePulse
-    layout: ParamLayout
-    pso: PsoConfig
-    refine: RefineConfig
-    starts: int
-    refine_top: int
-    loss_threshold: float
-    thermometry: dict[str, Any] | None
+    version: int
+    regime: str = "weak"
+    system: SystemConfig = field(default_factory=dict)
+    pulse_count: int = 3
+    target: str = "swap(0)"
+    pso: PsoConfig = field(default_factory=dict)
+    refine: RefineConfig = field(default_factory=dict)
+    starts: int = 4
+    refine_top: int = 2
+    loss_threshold: float = 0.5
+    thermometry: ThermometryBlock | None = None
+    target_spec: TargetSpec = field(init=False)
+    template: CompositePulse = field(init=False)
+    layout: ParamLayout = field(init=False)
 
-    @classmethod
-    def from_document(cls, doc: dict[str, Any]) -> "RunConfig":
-        check_object("config", doc, _CONFIG_KEYS)
-        version = doc.get("version")
-        if version != _CONFIG_VERSION:
+    def __post_init__(self) -> None:
+        put = partial(object.__setattr__, self)  # the record is frozen
+        if self.version != _CONFIG_VERSION:
             raise ValueError(
-                f"unsupported config version {version!r}; expected {_CONFIG_VERSION}"
+                f"unsupported config version {self.version!r}; "
+                f"expected {_CONFIG_VERSION}"
             )
-        regime = doc.get("regime", "weak")
-        if regime not in ("weak", "strong"):
-            raise ValueError(f"regime must be 'weak' or 'strong', got {regime!r}")
-        system = read_record(SystemConfig, "'system' block", doc.get("system", {}))
-        pulse_count = _integer_key(doc, "pulse_count", 3)
-        omega = WEAK_DRIVE_OMEGA if regime == "weak" else STRONG_DRIVE_OMEGA
-        template = uniform_pulse_train(pulse_count, delta=1.0, omega=omega)
-        build_layout = weak_drive_layout if regime == "weak" else strong_drive_layout
-        layout = build_layout(pulse_count, eta=system.eta, omega=omega)
-        preset = str(doc.get("target", "swap(0)"))
-        target = parse_target(preset, system.cutoff)
-        pso = read_record(PsoConfig, "'pso' block", doc.get("pso", {}))
-        refine = read_record(RefineConfig, "'refine' block", doc.get("refine", {}))
-        starts = _integer_key(doc, "starts", 4)
-        refine_top = _integer_key(doc, "refine_top", 2)
-        loss_threshold = doc.get("loss_threshold", 0.5)
-        check_real("loss_threshold", loss_threshold)
-        thermometry = doc.get("thermometry")
-        if thermometry is not None:
-            check_object("'thermometry'", thermometry, _THERMOMETRY_KEYS)
-        return cls(
-            system=system,
-            regime=regime,
-            preset=preset,
-            target=target,
-            template=template,
-            layout=layout,
-            pso=pso,
-            refine=refine,
-            starts=starts,
-            refine_top=refine_top,
-            loss_threshold=float(loss_threshold),
-            thermometry=thermometry,
-        )
+        if self.regime not in ("weak", "strong"):
+            raise ValueError(f"regime must be 'weak' or 'strong', got {self.regime!r}")
+        for name, record in (
+            ("system", SystemConfig), ("pso", PsoConfig), ("refine", RefineConfig)
+        ):
+            put(name, read_record(record, f"'{name}' block", getattr(self, name)))
+        for name in ("pulse_count", "starts", "refine_top"):
+            check_integer(name, getattr(self, name))
+        check_real("loss_threshold", self.loss_threshold)
+        put("loss_threshold", float(self.loss_threshold))
+        if self.thermometry is not None:
+            block = read_record(ThermometryBlock, "'thermometry'", self.thermometry)
+            put("thermometry", block)
+        weak = self.regime == "weak"
+        omega = WEAK_DRIVE_OMEGA if weak else STRONG_DRIVE_OMEGA
+        build_layout = weak_drive_layout if weak else strong_drive_layout
+        put("target_spec", parse_target(self.target, self.system.cutoff))
+        put("template", uniform_pulse_train(self.pulse_count, delta=1.0, omega=omega))
+        put("layout", build_layout(self.pulse_count, eta=self.system.eta, omega=omega))
 
     @classmethod
     def load(
@@ -180,14 +164,34 @@ class RunConfig:
         for name, key, value in (("system", "cutoff", cutoff), ("pso", "seed", seed)):
             if value is not None and isinstance(doc.setdefault(name, {}), dict):
                 doc[name][key] = value
-        return cls.from_document(doc)
+        return read_record(cls, "config", doc)
 
 
-def _integer_key(doc: dict[str, Any], name: str, default: int) -> int:
-    """The integer under ``name``; a float, bool or string is bad input."""
-    value = doc.get(name, default)
-    check_integer(name, value)
-    return int(value)
+@dataclass(frozen=True)
+class ThermometryBlock:
+    """The config's ``thermometry`` block.  ``distribution`` is given as a
+    JSON object and holds its PhononDistribution once built; ``pulse_ids``
+    name stored pulses to read out with instead of designing new ones.  The
+    window is checked by ``run_thermometry``, against both spaces.
+    """
+
+    window: list[int] = field(default_factory=list)
+    truth_cutoff: int = 100
+    distribution: PhononDistribution = field(default_factory=dict)
+    pulse_ids: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        check_integer("truth_cutoff", self.truth_cutoff, 2)
+        distribution = parse_distribution(self.distribution, self.truth_cutoff)
+        object.__setattr__(self, "distribution", distribution)
+        if not isinstance(self.pulse_ids, list) or not all(
+            isinstance(key, str) for key in self.pulse_ids
+        ):
+            raise ValueError(
+                f"'pulse_ids' must be a list of strings, got {self.pulse_ids!r}"
+            )
+        for key in self.pulse_ids:
+            _check_key(key)
 
 
 def parse_distribution(spec: dict[str, Any], cutoff: int) -> PhononDistribution:
@@ -254,6 +258,11 @@ def _propagator_report(system: SystemConfig, pulse: CompositePulse) -> dict[str,
     return {"modulus": modulus.tolist(), "excitation_profile": profile.tolist()}
 
 
+def _stored_entry(args: argparse.Namespace, key: str) -> PulseLibraryEntry:
+    """The entry under ``key`` in the output directory's library."""
+    return load_entry(find_entry(Path(args.out) / "library", key))
+
+
 def _load_pulse_arg(
     args: argparse.Namespace,
 ) -> tuple[PulseLibraryEntry, SystemConfig]:
@@ -261,7 +270,7 @@ def _load_pulse_arg(
     if args.pulse_file:
         entry = load_entry(Path(args.pulse_file))
     else:
-        entry = load_entry(find_entry(Path(args.out) / "library", args.pulse_id))
+        entry = _stored_entry(args, args.pulse_id)
     system = entry.system
     if args.cutoff is not None:
         system = dataclasses.replace(system, cutoff=args.cutoff)
@@ -272,7 +281,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     rc = RunConfig.load(Path(args.config), cutoff=args.cutoff, seed=args.seed)
     log.info(
         "designing %s at cutoff %d (%s drive, %d pulses, %d starts)",
-        rc.preset,
+        rc.target,
         rc.system.cutoff,
         rc.regime,
         len(rc.template),
@@ -282,7 +291,7 @@ def cmd_design(args: argparse.Namespace) -> int:
         rc.system,
         rc.template,
         rc.layout,
-        rc.target,
+        rc.target_spec,
         rc.pso,
         rc.refine,
         starts=rc.starts,
@@ -298,7 +307,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
     entry = PulseLibraryEntry(
         system=rc.system,
-        target=rc.preset,
+        target=rc.target,
         pulse=result.pulse.canonical(),
         loss=result.loss,
         meta={
@@ -321,7 +330,7 @@ def cmd_design(args: argparse.Namespace) -> int:
         {
             "id": entry.id,
             "system": dataclasses.asdict(rc.system),
-            "target": rc.preset,
+            "target": rc.target,
             "loss": result.loss,
             "evaluations": result.evaluations,
             "pulses": entry.pulse.to_dicts(),
@@ -353,32 +362,16 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
     block = rc.thermometry
     if block is None:
         raise ValueError("config has no 'thermometry' section")
-    window = block.get("window", [])
-    truth_cutoff = _integer_key(block, "truth_cutoff", 100)
-    cfg_truth = dataclasses.replace(
-        rc.system, cutoff=truth_cutoff, fock_offset=0
-    )
-    dist = parse_distribution(block.get("distribution", {}), truth_cutoff)
-
-    pulse_ids = block.get("pulse_ids", [])
-    if not isinstance(pulse_ids, list) or not all(
-        isinstance(key, str) for key in pulse_ids
-    ):
-        raise ValueError(f"'pulse_ids' must be a list of strings, got {pulse_ids!r}")
     pulses = None
-    if pulse_ids:
-        entries = [
-            load_entry(find_entry(Path(args.out) / "library", key))
-            for key in pulse_ids
-        ]
-        pulses = [e.pulse for e in entries]
+    if block.pulse_ids:
+        pulses = [_stored_entry(args, key).pulse for key in block.pulse_ids]
         log.info("loaded %d pulses from the library", len(pulses))
 
     result = run_thermometry(
         rc.system,
-        cfg_truth,
-        window,
-        dist,
+        dataclasses.replace(rc.system, cutoff=block.truth_cutoff, fock_offset=0),
+        block.window,
+        block.distribution,
         rc.template,
         rc.layout,
         rc.pso,
@@ -393,7 +386,7 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
         "thermometry",
         {
             "system": dataclasses.asdict(rc.system),
-            "truth_cutoff": truth_cutoff,
+            "truth_cutoff": block.truth_cutoff,
             "window": result.window,
             "true": result.truth.tolist(),
             "measured": result.measured.tolist(),

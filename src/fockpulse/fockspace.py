@@ -88,8 +88,9 @@ def check_object(
 
 def read_record(cls: type, name: str, value: object) -> Any:
     """The dataclass ``cls`` built from the outside JSON object ``value``,
-    whose keys are its fields; a field without a default is required."""
-    fields = dataclasses.fields(cls)
+    whose keys are its fields; a field without a default is required, and a
+    field declared with ``init=False`` is no key."""
+    fields = [f for f in dataclasses.fields(cls) if f.init]
     unset = dataclasses.MISSING
     required = [f.name for f in fields if f.default is f.default_factory is unset]
     return cls(**check_object(name, value, [f.name for f in fields], required))

@@ -39,6 +39,12 @@ _REQUIRED_KEYS = ("system", "pulses", "target", "loss")
 _KEY_RE = re.compile(r"[0-9a-f]{1,16}")
 
 
+def _check_key(key: str) -> None:
+    """Raise ValueError unless ``key`` is a content key or a prefix of one."""
+    if not _KEY_RE.fullmatch(key):
+        raise ValueError(f"pulse id must be 1 to 16 lowercase hex digits, got {key!r}")
+
+
 @dataclass
 class PulseLibraryEntry:
     """One stored pulse: the system it was designed on, for which target,
@@ -144,8 +150,7 @@ def find_entry(library_dir: Path | str, key: str) -> Path:
 
     ``key`` must be 1 to 16 lowercase hex digits, else ValueError.
     """
-    if not _KEY_RE.fullmatch(key):
-        raise ValueError(f"pulse id must be 1 to 16 lowercase hex digits, got {key!r}")
+    _check_key(key)
     library_dir = Path(library_dir)
     matches = sorted(library_dir.glob(f"{key}*.json"))
     if not matches:

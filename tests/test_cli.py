@@ -18,6 +18,7 @@ from fockpulse import (
     SweepSpec,
     SystemConfig,
     TransitionProbe,
+    read_record,
     save_entry,
     shelving_target,
     sweep,
@@ -378,6 +379,24 @@ def test_thermometry_bad_distribution_exits_two(tmp_path):
     assert code == 2
 
 
+def test_thermometry_command_designs_without_pulse_ids(tmp_path, capsys):
+    # a tiny budget: the point is the design stage's path, not its quality
+    out = tmp_path / "runs"
+    cfg_path = tmp_path / "run.json"
+    _write_config(
+        cfg_path,
+        pso={"particles": 8, "iterations": 2, "seed": 1},
+        refine={"max_iters": 2},
+        thermometry=THERMOMETRY,
+    )
+    code = main(["--quiet", "thermometry", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 0
+    document = json.loads((out / "thermometry.json").read_text())
+    assert len(document["design_losses"]) == len(document["pulses"]) == 2
+    assert np.all(np.isfinite(document["design_losses"]))
+    capsys.readouterr()
+
+
 def test_thermometry_requires_section(tmp_path):
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path)  # no thermometry block
@@ -387,7 +406,18 @@ def test_thermometry_requires_section(tmp_path):
 
 def test_robustness_command_writes_sweep(tmp_path, capsys):
     out = tmp_path / "runs"
-    entry = _store_pulse(out, 0)
+    # a carrier pi pulse on |g,0>, whose Rabi rate is omega * exp(-eta^2 / 2)
+    carrier_pi = np.pi / (0.1 * np.exp(-0.084**2 / 2))
+    entry = PulseLibraryEntry(
+        system=SystemConfig(cutoff=3),
+        target="shelve(0)",
+        pulse=CompositePulse(
+            pulses=(PulseParams(delta=0.0, omega=0.1, phi=0.0, t=carrier_pi),)
+        ),
+        loss=0.0,
+        meta={},
+    )
+    save_entry(entry, out / "library")
     code = main(
         [
             "--quiet",
@@ -401,6 +431,8 @@ def test_robustness_command_writes_sweep(tmp_path, capsys):
             "5",
             "--points",
             "11",
+            "--probe",
+            "excitation",
             "--out",
             str(out),
         ]
@@ -415,7 +447,8 @@ def test_robustness_command_writes_sweep(tmp_path, capsys):
     assert np.all(probabilities >= 0) and np.all(probabilities <= 1)
     out_text = capsys.readouterr().out
     assert "probability at the offset nearest 0 (0): " in out_text
-    assert "0.99" in out_text  # the >= 0.99 window (or its absence) is reported
+    # the excitation falls below 0.99 between offsets 2 and 3, on both sides
+    assert "widest window with probability >= 0.99: [-2, 2]" in out_text
 
 
 def _robustness(out, entry, *extra) -> int:
@@ -524,6 +557,21 @@ THERMOMETRY = {
     "distribution": {"thermal_nbar": 0.5},
 }
 
+# Bad values in the thermometry block: every command that reads the config
+# rejects them, before any design.  The test below runs each one under
+# design; the first four run under thermometry among its first cases, the
+# rest at its end.
+BAD_THERMOMETRY_BLOCKS = [
+    ({"truth_cutoff": 15.5}, "truth_cutoff must be an integer"),
+    ({"distribution": 5}, "'distribution' must be an object"),
+    ({"distribution": {"populations": 0.5}}, "'populations' must be a list"),
+    ({"distribution": {"thermal_nbar": "nan"}}, "nbar must be a number"),
+    ({"truth_cutoff": "abc"}, "truth_cutoff must be an integer"),
+    ({"truth_cutoff": 1}, "truth_cutoff must be >= 2"),
+    ({"pulse_ids": 4}, "'pulse_ids' must be a list of strings"),
+    ({"pulse_ids": ["3F"]}, "1 to 16 lowercase hex digits"),
+]
+
 
 @pytest.mark.parametrize(
     "command, overrides, message",
@@ -576,6 +624,15 @@ THERMOMETRY = {
         ),
         ("design", {"loss_threshold": "0.5"}, "loss_threshold must be a number"),
         ("design", {"loss_threshold": True}, "loss_threshold must be a number"),
+        ("design", {"target": 5}, "unknown target preset 5"),
+        *[
+            ("design", {"thermometry": {**THERMOMETRY, **change}}, message)
+            for change, message in BAD_THERMOMETRY_BLOCKS
+        ],
+        *[
+            ("thermometry", {"thermometry": {**THERMOMETRY, **change}}, message)
+            for change, message in BAD_THERMOMETRY_BLOCKS[4:]
+        ],
     ],
 )
 def test_non_integer_count_or_non_finite_threshold_exits_two(
@@ -643,7 +700,7 @@ def test_overrides_meet_the_config_checks(tmp_path, capsys):
     _write_config(cfg_path)
     rc = RunConfig.load(cfg_path, cutoff=4, seed=7)
     assert rc.system.cutoff == 4 and rc.pso.seed == 7
-    assert rc.target.modulus.shape == (8, 8)
+    assert rc.target_spec.modulus.shape == (8, 8)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         RunConfig.load(cfg_path, seed=-1)
     with pytest.raises(ValueError, match="cutoff must be >= 2"):
@@ -651,7 +708,7 @@ def test_overrides_meet_the_config_checks(tmp_path, capsys):
     _write_config(cfg_path, target="swap(2)")  # needs cutoff 4
     with pytest.raises(ValueError, match="swap needs fock"):
         RunConfig.load(cfg_path)
-    assert RunConfig.load(cfg_path, cutoff=4).preset == "swap(2)"
+    assert RunConfig.load(cfg_path, cutoff=4).target == "swap(2)"
     out = tmp_path / "runs"
     argv = ["--quiet", "design", "--config", str(cfg_path), "--out", str(out)]
     overrides = ["--cutoff", "4", "--seed", "7"]
@@ -716,11 +773,9 @@ def _misspellings(doc: dict):
 
 def test_readme_config_example_is_valid():
     doc = _readme_config()
-    rc = RunConfig.from_document(doc)
+    rc = read_record(RunConfig, "config", doc)
     assert len(rc.template) == doc["pulse_count"]
-    block = doc["thermometry"]
-    dist = parse_distribution(block["distribution"], block["truth_cutoff"])
-    assert len(dist) == block["truth_cutoff"]
+    assert len(rc.thermometry.distribution) == doc["thermometry"]["truth_cutoff"]
 
 
 @pytest.mark.parametrize(
