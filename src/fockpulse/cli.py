@@ -364,7 +364,18 @@ def cmd_thermometry(args: argparse.Namespace) -> int:
         raise ValueError("config has no 'thermometry' section")
     pulses = None
     if block.pulse_ids:
-        pulses = [_stored_entry(args, key).pulse for key in block.pulse_ids]
+        pulses = []
+        for key in block.pulse_ids:
+            entry = _stored_entry(args, key)
+            # a pulse reads out only the system it was designed for
+            for name in ("eta", "fock_offset"):
+                stored, wanted = getattr(entry.system, name), getattr(rc.system, name)
+                if stored != wanted:
+                    raise ValueError(
+                        f"stored pulse {entry.id} has {name}={stored!r}, "
+                        f"but the config's system has {name}={wanted!r}"
+                    )
+            pulses.append(entry.pulse)
         log.info("loaded %d pulses from the library", len(pulses))
 
     result = run_thermometry(

@@ -3,12 +3,15 @@
 Targets fix only the magnitudes of propagator entries, never their phases, so
 the loss is invariant under any global phase and under per-entry phase
 freedom.  A boolean mask selects which entries the loss compares; masked-out
-entries are free for the optimizer to use as it pleases.
+entries are free for the optimizer to use as it pleases.  A column without a
+compared entry is free as a whole, so the loss can also read a block of the
+compared columns alone: the images of the only inputs the target pins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,10 +28,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TargetSpec:
-    """Desired entry magnitudes plus the mask of compared entries."""
+    """Desired entry magnitudes plus the mask of compared entries.
+
+    ``columns`` marks the columns that hold a compared entry; it is derived
+    from the mask and read-only, like the mask and the moduli.
+    """
 
     modulus: np.ndarray
     mask: np.ndarray
+    columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         modulus = np.asarray(self.modulus, dtype=float)
@@ -41,10 +49,24 @@ class TargetSpec:
             )
         if not np.all((modulus >= 0) & (modulus <= 1)):  # NaN fails both
             raise ValueError("target moduli must lie in [0, 1]")
-        modulus.flags.writeable = False
-        mask.flags.writeable = False
+        columns = mask.any(axis=0)
+        for array in (modulus, mask, columns):
+            array.flags.writeable = False
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "columns", columns)
+
+    @cached_property
+    def _on_columns(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """(inputs, modulus, mask) on the compared columns alone, read-only:
+        the unit input states whose images the target compares, None when it
+        compares every column (its block is then the whole propagator), and
+        the moduli and the mask of those images."""
+        inputs = np.eye(len(self.columns))[:, self.columns]
+        modulus, mask = self.modulus[:, self.columns], self.mask[:, self.columns]
+        for array in (inputs, modulus, mask):
+            array.flags.writeable = False
+        return None if self.columns.all() else inputs, modulus, mask
 
 
 def swap_target(cutoff: int, fock: int = 0) -> TargetSpec:
@@ -97,12 +119,21 @@ def modulus_loss(u: np.ndarray, target: TargetSpec) -> float | np.ndarray:
     phases by construction.  ``u`` is one (dim, dim) propagator, giving a
     float, or a (B, dim, dim) stack, giving B losses; both shapes share one
     reduction, so a stacked row's loss equals its loss alone bit for bit.
+    ``u`` may also hold only the target's compared columns, (dim, k) or
+    (B, dim, k) with k = ``target.columns.sum()``, which are compared with
+    ``target.modulus[:, target.columns]``; that loss agrees with the whole
+    propagator's to rounding.  A target that compares every column reads
+    the whole propagator either way.
     """
-    if u.shape[-2:] != target.modulus.shape or u.ndim not in (2, 3):
+    modulus, mask = target.modulus, target.mask
+    if u.shape[-1:] != modulus.shape[1:]:
+        _, modulus, mask = target._on_columns
+    if u.ndim not in (2, 3) or u.shape[-2:] != modulus.shape:
         raise ValueError(
             f"propagator shape {u.shape} does not match target {target.modulus.shape}"
+            f" or its {modulus.shape[1]} compared columns"
         )
-    diff = (np.abs(u) - target.modulus) * target.mask
+    diff = (np.abs(u) - modulus) * mask
     flat = diff.reshape(diff.shape[:-2] + (-1,))
     loss = np.sqrt(np.add.reduce(flat * flat, axis=-1))
     return float(loss) if u.ndim == 2 else loss

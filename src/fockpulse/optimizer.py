@@ -19,17 +19,21 @@ eigenpairs, and back from the loss's derivative by each propagator
 296 (2005); de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)).  The
 eigenpairs are those of the real frame of the drive,
 ``_real_drive_eigenpairs``: the loss reads only moduli, which that frame
-keeps, and its real ``eigh`` and real products are the cheaper ones.  One
-row is one evaluation, and a row's loss does not depend on the block it is
-evaluated in.  The kernel's propagators agree with the reference
-``composite_unitary`` only up to rounding.
+keeps, and its real ``eigh`` and real products are the cheaper ones.  A call
+pays only for what changes per call: the drive's Hamiltonian is cached per
+Rabi rate, with the detuning written in, and the kernel carries only the
+columns the target compares (the ground block of a shelving target), whose
+loss agrees with the whole propagator's to rounding.  One row is one
+evaluation, and a row's loss does not depend on the block it is evaluated
+in.  The kernel's propagators agree with the reference ``composite_unitary``
+only up to rounding.
 
 The objective is the soft worst case of the modulus loss over the pulses the
 offset grids of an ``OffsetEnsemble`` perturb the candidate into, as
 ``ensemble_losses`` scores it.  Without an ensemble it is that of
-``OffsetEnsemble(())``, the nominal pulse alone, which equals its modulus loss
-bit for bit.  The swarm treats a non-finite loss as +inf, so such a
-candidate never becomes its incumbent.
+``OffsetEnsemble(())``, the nominal pulse alone, which is its modulus loss.
+The swarm treats a non-finite loss as +inf, so such a candidate never
+becomes its incumbent.
 
 The refinement is scipy's L-BFGS-B, and ``refine`` imports
 ``scipy.optimize`` on its first call, so that importing the package loads

@@ -14,11 +14,12 @@ applies the propagator of every pulse at any phase and duration,
 exp(-i H t) = Z V e^{-i w t} V^dagger Z^dagger, factor by factor to B trains
 at once.  It is the one propagation kernel: given a block of states it
 returns what each train makes of them, which is all the readout and the
-robustness grids need, and otherwise the whole propagators that pulse design
-scores; ``_train_vjp`` runs it back, from the derivative of a loss by each
-train's propagator to those by every duration, phase and detuning.  Each row
-of a batch is computed independently of the others, so a row's result does
-not depend on the batch it sits in.
+robustness grids need, and otherwise the whole propagators.  Pulse design
+passes the unit inputs of the columns its target compares, or none when it
+compares them all.  ``_train_vjp`` runs the kernel back, from the derivative
+of a loss by each train's block to those by every duration, phase and
+detuning.  Each row of a batch is computed independently of the others, so a
+row's result does not depend on the batch it sits in.
 
 A second diagonal similarity makes the drive real: with F = diag(i^k, i^k)
 over the mode levels k of both blocks, F^dagger H(delta, omega, 0) F is real
@@ -26,13 +27,16 @@ symmetric.  ``_real_drive_eigenpairs`` decomposes it with a real ``eigh``, and
 the kernel run on its real eigenvectors multiplies by them as real GEMMs and
 returns F^dagger U F, which has the moduli of U.  Pulse design scores moduli
 alone, so it runs in this frame; the readout and ``drive_eigenpairs`` keep the
-lab frame (``_real_drive_eigenpairs`` says why).
+lab frame (``_real_drive_eigenpairs`` says why).  Only the excited diagonal
+of F^dagger H F depends on delta, so the rest is built once per (system, Rabi
+rate) and cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -184,10 +188,28 @@ def _real_drive_eigenpairs(
     op falls from about 40 to 25 ms (2-vCPU x86-64 VM), and the tracer's own
     180 us then fills the 1% of a traced benchmark op that may go unattributed
     to any span, so its traced runs fail now and then (ROADMAP, Open item 1).
+
+    Only the excited diagonal, n - delta, depends on delta, so the matrix is
+    the cached ``_real_drive(cfg, omega)`` with that diagonal written in: the
+    same floats as the frame of ``build_hamiltonian``'s H(delta, omega, 0).
     """
+    delta = np.asarray(delta, dtype=float)
+    h = np.tile(_real_drive(cfg, omega), delta.shape + (1, 1))
+    excited = np.arange(cfg.cutoff, cfg.dim)
+    h[..., excited, excited] = cfg.fock_indices() - delta[..., None]
+    return np.linalg.eigh(h)
+
+
+@lru_cache(maxsize=64)
+def _real_drive(cfg: SystemConfig, omega: float) -> np.ndarray:
+    """F^dagger H(0, omega, 0) F of ``_real_drive_eigenpairs``, dropping its
+    imaginary part; cached per (configuration, Rabi rate), so read-only.  The
+    cache is bounded: a scan over Rabi rates would otherwise keep them all."""
     frame = np.tile(np.array([1, 1j, -1, -1j])[np.arange(cfg.cutoff) % 4], 2)
-    h = build_hamiltonian(cfg, delta=delta, omega=omega, phi=0.0)
-    return np.linalg.eigh((frame.conj()[:, None] * h * frame).real)
+    h = build_hamiltonian(cfg, delta=0.0, omega=omega, phi=0.0)
+    out = (frame.conj()[:, None] * h * frame).real
+    out.flags.writeable = False
+    return out
 
 
 def train_product(
@@ -247,7 +269,7 @@ def _checked_trains(
 def _left(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """v @ x for a complex block x; for a real v, one real GEMM on the
     interleaved real and imaginary parts of x."""
-    if np.isrealobj(v):
+    if v.dtype.kind == "f":
         x = np.ascontiguousarray(x, dtype=complex)
         return (v @ x.view(float)).view(complex)
     return v @ x
@@ -306,9 +328,11 @@ def _train_vjp(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kernel's backward pass: derivatives of a real loss L by the (B, n)
     durations, the (B, n) phases and the (B,) detunings of B trains' drives,
-    from ``cotangent``, the (B, dim, dim) derivative G of L by each train's
-    propagator U (dL = Re sum conj(G) dU), and what ``_train_pass`` took and
-    returned on the same trains, ``entering`` as it filled it.
+    from ``cotangent``, the (B, dim, k) derivative G of L by each train's
+    block U (dL = Re sum conj(G) dU), and what ``_train_pass`` took and
+    returned on the same trains, ``entering`` as it filled it.  U is the
+    whole propagator (k = dim) or what it makes of a (dim, k) block of
+    ``states``; either way M~_k below is (dim, dim).
 
     The cotangent of G in pulse k's frame,
     M~_k = V^dagger Z_k^dagger (U_after^dagger G U_before^dagger) Z_k V, gives

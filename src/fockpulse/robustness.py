@@ -11,12 +11,18 @@ over every pulse that the grids of an ``OffsetEnsemble`` perturb it into, and
 ``ensemble_gradients`` adds its exact gradient.  A duration offset only
 changes the times and a phase offset only the phases of a train, so every
 member shares the drive of its pulse, and all members of the block run in one
-pass of the kernel of ``pulses``: forward, and back for the gradient.
+pass of the kernel of ``pulses``: forward, and back for the gradient.  The
+pass carries only the columns the target compares (``TargetSpec.columns``),
+the images of the unit inputs it pins: the ground block of a shelving target,
+one column of a probed entry, the whole propagator only for a swap.  What a
+call does not change is built once: each target's unit inputs and sliced
+moduli, and each ensemble's table of member offsets per train length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -252,6 +258,18 @@ def sweep(
     )
 
 
+@lru_cache(maxsize=64)
+def _offset_table(
+    ensemble: OffsetEnsemble, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ensemble.offsets(count)``, built once per ensemble and train length;
+    the arrays are read-only."""
+    table = ensemble.offsets(count)
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
 def _member_trains(
     energies: np.ndarray,
     vectors: np.ndarray,
@@ -265,7 +283,7 @@ def _member_trains(
     clamped at 0, the (B * M, n) phases, and the mask of the durations that
     were not clamped."""
     durations, phases = _checked_trains(durations, phases)
-    weights, dt, dphi = ensemble.offsets(durations.shape[1])
+    weights, dt, dphi = _offset_table(ensemble, durations.shape[1])
     size = weights.size
     t = (durations[:, None, :] + dt).reshape(-1, dt.shape[1])
     phi = (phases[:, None, :] + dphi).reshape(-1, dt.shape[1])
@@ -304,13 +322,16 @@ def ensemble_losses(
 
     ``durations`` and ``phases`` are (B, n); ``energies`` and ``vectors`` are
     the eigenpairs of the trains' drive, shared or one per row, as
-    ``train_product`` takes them.  The ensemble ``OffsetEnsemble(())`` of the
-    nominal pulse alone gives each train's modulus loss bit for bit.
+    ``train_product`` takes them.  Each member's modulus loss is taken over
+    the target's compared columns alone, which agrees with the loss of the
+    member's whole propagator to rounding, and is that loss when the target
+    compares every column.  So the ensemble ``OffsetEnsemble(())`` of the
+    nominal pulse alone gives each train's modulus loss.
     """
     weights, energies, vectors, t, phi, _ = _member_trains(
         energies, vectors, durations, phases, ensemble
     )
-    u = _train_pass(energies, vectors, t, phi)[0]
+    u = _train_pass(energies, vectors, t, phi, target._on_columns[0])[0]
     losses = weights * modulus_loss(u, target).reshape(-1, weights.size)
     return _soft_worst(losses)[0]
 
@@ -333,21 +354,24 @@ def ensemble_gradients(
     The members run forward through ``_train_pass`` and back through
     ``_train_vjp`` from the loss's derivative by each member's propagator,
     G = mask (|U| - T) U / (|U| L), which is set to 0 where |U| = 0 (a kink of
-    the loss) or L = 0.  Members chain through their softmax share of the
-    log-sum-exp times their spec's weight, and a member whose duration is
-    clamped at 0 adds nothing to that pulse's d/dt.
+    the loss) or L = 0.  Both carry the target's compared columns alone, as
+    ``ensemble_losses`` does: G vanishes on every other column.  Members
+    chain through their softmax share of the log-sum-exp times their spec's
+    weight, and a member whose duration is clamped at 0 adds nothing to that
+    pulse's d/dt.
     """
     weights, energies, vectors, t, phi, live = _member_trains(
         energies, vectors, durations, phases, ensemble
     )
+    inputs, modulus, mask = target._on_columns
     entering: list[np.ndarray] = []
-    u, decay, hinge = _train_pass(energies, vectors, t, phi, entering=entering)
+    u, decay, hinge = _train_pass(energies, vectors, t, phi, inputs, entering)
     member = modulus_loss(u, target)
     losses, shares = _soft_worst(weights * member.reshape(-1, weights.size))
 
     magnitude = np.abs(u)
     scale = magnitude * member[:, None, None]
-    diff = (magnitude - target.modulus) * target.mask * u
+    diff = (magnitude - modulus) * mask * u
     grad = np.divide(diff, scale, out=np.zeros_like(u), where=scale > 0)
     grad *= (shares * weights).reshape(-1, 1, 1)
     d_t, d_phi, d_delta = _train_vjp(energies, vectors, t, grad, decay, hinge, entering)

@@ -46,9 +46,11 @@ def _write_config(path, **overrides):
     return doc
 
 
-def _store_pulse(out_dir, k: float, target="shelve(0)") -> PulseLibraryEntry:
+def _store_pulse(
+    out_dir, k: float, target="shelve(0)", system=SystemConfig(cutoff=3)
+) -> PulseLibraryEntry:
     entry = PulseLibraryEntry(
-        system=SystemConfig(cutoff=3),
+        system=system,
         target=target,
         pulse=CompositePulse(
             pulses=(
@@ -326,6 +328,38 @@ def test_thermometry_identical_pulses_exit_ill_conditioned(tmp_path):
     )
     code = main(["--quiet", "thermometry", "--config", str(cfg_path), "--out", str(out)])
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "stored, field",
+    [
+        (SystemConfig(eta=0.3, cutoff=3), "eta=0.3"),
+        (SystemConfig(cutoff=3, fock_offset=1), "fock_offset=1"),
+    ],
+)
+def test_thermometry_refuses_pulses_stored_for_another_system(
+    tmp_path, caplog, stored, field
+):
+    # A pulse is read out in the config's system, so one designed for another
+    # eta or Fock window would be scored for a system it was not made for;
+    # the run must stop before it reads anything out.
+    out = tmp_path / "runs"
+    first = _store_pulse(out, 0, target="shelve(0)", system=stored)
+    second = _store_pulse(out, 1, target="shelve(1)", system=stored)
+    cfg_path = tmp_path / "run.json"
+    _write_config(
+        cfg_path,
+        thermometry={
+            "window": [0, 1],
+            "truth_cutoff": 15,
+            "distribution": {"thermal_nbar": 0.5},
+            "pulse_ids": [first.id, second.id],
+        },
+    )
+    code = main(["--quiet", "thermometry", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert first.id in caplog.text and field in caplog.text
+    assert not (out / "thermometry.json").exists()
 
 
 @pytest.mark.parametrize("pulse_ids", ["4b", 4, [1, 2], {"a": "b"}])

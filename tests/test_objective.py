@@ -144,6 +144,37 @@ class TestModulusLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             modulus_loss(np.eye(4, dtype=complex), swap_target(3, 0))
+        with pytest.raises(ValueError, match="3 compared columns"):
+            modulus_loss(np.eye(6, dtype=complex)[:, :2], shelving_target(3, 0))
+
+    @pytest.mark.parametrize(
+        "spec", [shelving_target(3, 1), swap_target(3, 0)], ids=["shelve", "swap"]
+    )
+    def test_reads_the_compared_columns_alone(self, spec):
+        # a block of the compared columns scores as the whole propagator does
+        u = np.stack([random_unitary(6, seed) for seed in (1, 2, 3)])
+        block = u[..., spec.columns]
+        assert block.shape[-1] == spec.mask.any(axis=0).sum()
+        assert modulus_loss(block[0], spec) == pytest.approx(
+            modulus_loss(u[0], spec), abs=1e-15
+        )
+        assert np.allclose(modulus_loss(block, spec), modulus_loss(u, spec), atol=1e-15)
+
+
+def test_compared_columns_are_derived_once_and_read_only():
+    assert shelving_target(3, 1).columns.tolist() == [True] * 3 + [False] * 3
+    assert swap_target(3, 0).columns.all()
+    spec = shelving_target(3, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.columns[4] = True
+    assert spec._on_columns is spec._on_columns
+    inputs, modulus, mask = spec._on_columns
+    assert np.array_equal(inputs, np.eye(6)[:, :3])
+    assert np.array_equal(modulus, spec.modulus[:, :3])
+    assert np.array_equal(mask, spec.mask[:, :3])
+    assert not any(a.flags.writeable for a in spec._on_columns)
+    # a target that compares every column carries the whole propagator
+    assert swap_target(3, 0)._on_columns[0] is None
 
 
 class TestExcitationProfile:

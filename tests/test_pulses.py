@@ -8,6 +8,7 @@ from fockpulse.pulses import (
     CompositePulse,
     ParamLayout,
     PulseParams,
+    _real_drive,
     _real_drive_eigenpairs,
     _train_pass,
     analytic_swap_parameters,
@@ -390,6 +391,30 @@ class TestRealFrame:
         energies, vectors = _real_drive_eigenpairs(cfg, delta, omega)
         assert energies.shape == h.shape[:-1] and vectors.shape == h.shape
         assert np.isrealobj(vectors)
+
+    @pytest.mark.parametrize("fock_offset", [0, 7])
+    @pytest.mark.parametrize(
+        "delta, omega",
+        [(1.0, OMEGA), (0.25, 1.0), (np.array([0.25, 1.0, 1.7, 2.5]), 1.0)],
+    )
+    def test_cached_drive_is_the_frame_of_build_hamiltonian(
+        self, fock_offset, delta, omega
+    ):
+        # the eigenpairs rest on a cached H(0) with n - delta written on the
+        # excited diagonal; they equal, bit for bit, those of the frame of
+        # the Hamiltonian that build_hamiltonian builds at that delta
+        cfg = SystemConfig(cutoff=6, fock_offset=fock_offset)
+        f = _frame(cfg.cutoff)
+        h = build_hamiltonian(cfg, delta=delta, omega=omega, phi=0.0)
+        expected = np.linalg.eigh((f.conj()[:, None] * h * f).real)
+        energies, vectors = _real_drive_eigenpairs(cfg, delta, omega)
+        assert np.array_equal(energies, expected[0])
+        assert np.array_equal(vectors, expected[1])
+        cached = _real_drive(cfg, omega)
+        assert cached is _real_drive(cfg, omega)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
 
     @pytest.mark.parametrize("cutoff", [3, 6, 10])
     @pytest.mark.parametrize("fock_offset", [0, 7])

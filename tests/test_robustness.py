@@ -16,7 +16,7 @@ from fockpulse import (
     sweep,
     uniform_pulse_train,
 )
-from fockpulse.robustness import SweepResult
+from fockpulse.robustness import SweepResult, _offset_table
 
 CFG = SystemConfig(cutoff=4)
 TRAIN = CompositePulse(
@@ -95,6 +95,17 @@ def test_offset_arrays_build_the_members():
         OffsetEnsemble((SweepSpec("phase", -1, 1, 3, which=0),)).offsets(3)
     with pytest.raises(ValueError, match="outside the train"):
         OffsetEnsemble((SweepSpec("duration", -1, 1, 3, which=3),)).offsets(3)
+
+
+def test_member_table_is_built_once_per_ensemble_and_length():
+    spec = SweepSpec(axis="phase", lower=-0.5, upper=0.5, points=3)
+    table = _offset_table(OffsetEnsemble((spec,)), 3)
+    # an equal ensemble shares the table; another train length has its own
+    assert _offset_table(OffsetEnsemble((spec,), weights=(1.0,)), 3) is table
+    assert _offset_table(OffsetEnsemble((spec,)), 4)[1].shape == (4, 4)
+    for built, expected in zip(table, OffsetEnsemble((spec,)).offsets(3)):
+        assert np.array_equal(built, expected)
+        assert not built.flags.writeable
 
 
 def test_perturb_duration_shifts_every_pulse():
